@@ -19,20 +19,21 @@ honest.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Optional, Tuple
+from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
 
 from repro.api import wire
 from repro.core.model import Cause, CauseKind, CausalityResult, RunStats
+from repro.prsq.query import ProbabilityMap
 
 SCHEMA_VERSION = 2
 
 
 def _encode_ids(ids: Tuple[Hashable, ...]) -> List[Any]:
-    return [wire.encode_value(v) for v in ids]
+    return wire.encode_value(list(ids))
 
 
 def _decode_ids(items: List[Any]) -> Tuple[Hashable, ...]:
-    return tuple(wire.decode_value(v) for v in items)
+    return tuple(wire.decode_value(list(items)))
 
 
 # ---------------------------------------------------------------------------
@@ -45,18 +46,20 @@ class PRSQResult:
     want: str
     alpha: float
     ids: Optional[Tuple[Hashable, ...]] = None          # answers / non_answers
-    probabilities: Optional[Dict[Hashable, float]] = None
+    # a read-only ProbabilityMap from the engine, a dict when decoded
+    probabilities: Optional[Mapping[Hashable, float]] = None
 
     @classmethod
     def from_raw(cls, value: Any, spec: Any) -> "PRSQResult":
         if spec.want == "probabilities":
-            return cls(want=spec.want, alpha=spec.alpha,
-                       probabilities=dict(value))
+            if not isinstance(value, ProbabilityMap):
+                value = dict(value)
+            return cls(want=spec.want, alpha=spec.alpha, probabilities=value)
         return cls(want=spec.want, alpha=spec.alpha, ids=tuple(value))
 
     def to_raw(self) -> Any:
         if self.want == "probabilities":
-            return dict(self.probabilities)
+            return dict(self.probabilities.items())
         return list(self.ids)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -67,7 +70,7 @@ class PRSQResult:
             "probabilities": (
                 None
                 if self.probabilities is None
-                else wire.encode_value(self.probabilities)
+                else wire.encode_value(dict(self.probabilities.items()))
             ),
         }
 

@@ -78,18 +78,18 @@ def find_candidate_causes(
     windows = list(windows)
 
     if use_index:
-        # The kernel returns unique, canonically ordered payloads on both
-        # the packed and the pointer path, so no per-caller set() is
-        # needed and traversal order can never leak into result bits.
-        hits = dataset.spatial_index(use_numpy).range_search_any(windows)
+        # Ascending dataset positions on both the packed and the pointer
+        # path, so traversal order can never leak into result bits.
+        pool_indices = dataset.window_positions(
+            windows, exclude=dataset.index_of(an_oid), use_numpy=use_numpy
+        )
         # Sample-level Lemma-2 pre-confirm of the MBR-level R-tree hits:
         # it cannot change the confirmed set (the rectangles are a complete
         # filter), only skip exact confirmations, so CP's output and node
         # accesses are untouched.  Pool order is dataset order.
-        pool_indices = dataset.positions_of(hits, exclude=(an_oid,))
         objects = dataset.objects()
         pool = _sample_level_prefilter(
-            [objects[i] for i in pool_indices], windows
+            [objects[i] for i in pool_indices.tolist()], windows
         )
     else:
         # The documented ablation baseline: a plain linear scan with exact

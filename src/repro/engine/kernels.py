@@ -39,6 +39,12 @@ _WINDOW_CHUNK = 128
 # objects so one center with many samples cannot blow up memory.
 _EQ3_SCRATCH_ELEMENTS = 1 << 21
 
+# Elements per (center samples, pairs) array of one eq2_segmented block
+# (64 KB of float64, under a MB for everything a block keeps alive): small
+# enough that the arrays stay in cache and that the freed scratch of every
+# server thread stays small, large enough that a query is tens of blocks.
+_PAIR_BLOCK_ELEMENTS = 1 << 13
+
 # Possible worlds per Monte-Carlo broadcast chunk: bounds the (n, chunk, d)
 # instantiation-distance scratch.
 _WORLD_CHUNK = 256
@@ -245,7 +251,9 @@ def eq3_dominance_tensor(
         Broadcast path (chunked over ``R`` so the ``(C, chunk, S, d)``
         scratch stays bounded) vs. the scalar per-sample fallback.  Both
         run the same float comparisons and the same left-to-right masked
-        sums, so their outputs are bit-identical.
+        sums, so their outputs are bit-identical.  One broadcast suits
+        the few relevant rows of one center; a whole query's pairs go
+        through :func:`eq2_segmented` instead.
     """
     center_samples = np.asarray(center_samples, dtype=np.float64)
     other_samples = np.asarray(other_samples, dtype=np.float64)
@@ -285,6 +293,51 @@ def eq3_dominance_tensor(
     return out
 
 
+def _eq3_block(
+    center: Sequence[np.ndarray],
+    reach: Sequence[np.ndarray],
+    others: np.ndarray,
+    probabilities: np.ndarray,
+    mask: np.ndarray,
+) -> np.ndarray:
+    """Eq. (3) for a block of B (center, other object) pairs.
+
+    ``center[j]`` / ``reach[j]`` are ``(C, B)``: coordinate ``j`` of each
+    pair's center samples, and its distance ``|q_j - center_j|`` to the
+    query point.  ``others`` is ``(d, S, B)``, the other objects' padded
+    sample slots per dimension; ``probabilities`` / ``mask`` are
+    ``(S, B)``.  Returns ``out[i, b] = Pr{other_b ≺_{center_b,i} q}``.
+
+    Every step is elementwise on ``(C, B)`` arrays whose long pair axis
+    is the contiguous one — a loop over the S slots and d dimensions
+    instead of :func:`eq3_dominance_tensor`'s ``(C, B, S, d)`` broadcast
+    — so the scratch is a few ``(C, B)`` arrays and nothing reduces over
+    a tiny axis.  The comparisons are :func:`_dominance_block`'s, and the
+    slot sum accumulates left to right like :func:`masked_ordered_sum`:
+    a masked slot's ``+0.0`` is skipped, and ``x + 0.0 == x`` exactly
+    for the never-negative-zero running sum.
+    """
+    out = np.zeros(center[0].shape, dtype=np.float64)
+    dist = np.empty(out.shape, dtype=np.float64)
+    within = np.empty(out.shape, dtype=bool)
+    strict = np.empty(out.shape, dtype=bool)
+    scratch = np.empty(out.shape, dtype=bool)
+    for k in range(others.shape[1]):
+        for j in range(len(center)):
+            np.subtract(others[j, k], center[j], out=dist)
+            np.abs(dist, out=dist)
+            if j == 0:
+                np.less_equal(dist, reach[j], out=within)
+                np.less(dist, reach[j], out=strict)
+            else:
+                within &= np.less_equal(dist, reach[j], out=scratch)
+                strict |= np.less(dist, reach[j], out=scratch)
+        within &= strict
+        within &= mask[k]
+        np.add(out, probabilities[k], out=out, where=within)
+    return out
+
+
 def eq2_probability(
     center_probabilities: np.ndarray,
     eq3: np.ndarray,
@@ -292,22 +345,103 @@ def eq2_probability(
 ) -> float:
     """Batched Eq. (2): ``sum_i p_i * prod_r (1 - eq3[r, i])``.
 
-    The survival product runs row by row in the given order (``rows``
-    restricts and orders it — the ``P − Γ`` evaluations), matching the
-    scalar :func:`repro.prsq.probability.probability_from_matrix` loop
-    factor for factor.  All-zero rows are skipped: they multiply by an
-    exact ``1.0``, a floating-point no-op (Lemma 1's irrelevance argument
-    in bit-exact form).
+    The survival product runs in the given row order (``rows`` restricts
+    and orders it — the ``P − Γ`` evaluations) as one ``multiply.reduce``
+    down the rows, which multiplies the running product by each row in
+    turn: factor for factor the scalar
+    :func:`repro.prsq.probability.probability_from_matrix` loop, whose
+    skipped all-zero rows multiply by an exact ``1.0`` here, a
+    floating-point no-op (Lemma 1's irrelevance argument in bit-exact
+    form).
     """
     center_probabilities = np.asarray(center_probabilities, dtype=np.float64)
-    eq3 = np.asarray(eq3, dtype=np.float64)
-    survival = np.ones(center_probabilities.shape[0], dtype=np.float64)
-    order = range(eq3.shape[0]) if rows is None else rows
-    for j in order:
-        row = eq3[j]
-        if row.any():
-            survival = survival * (1.0 - row)
+    eq3 = np.asarray(eq3, dtype=np.float64).reshape(
+        -1, center_probabilities.shape[0]
+    )
+    if rows is not None:
+        eq3 = eq3[np.asarray(rows, dtype=np.intp)]
+    survival = np.multiply.reduce(1.0 - eq3, axis=0)
     return ordered_dot(center_probabilities, survival)
+
+
+def eq2_segmented(
+    samples: np.ndarray,
+    probabilities: np.ndarray,
+    mask: np.ndarray,
+    centers: Sequence[int],
+    offsets: Sequence[int],
+    rows: Sequence[int],
+    q: PointLike,
+) -> np.ndarray:
+    """Eq. (2) for many centers at once, over CSR relevance sets.
+
+    *samples* / *probabilities* / *mask* are a
+    :class:`~repro.uncertain.tensor.DatasetTensor`'s padded arrays.
+    ``out[g]`` is ``Pr(u)`` of the object at row ``centers[g]``, whose
+    relevant rows are ``rows[offsets[g]:offsets[g + 1]]`` in ascending
+    order, the canonical product order.
+
+    Pairs run in blocks of whole segments, at most
+    ``_PAIR_BLOCK_ELEMENTS`` (pair, center sample) elements or one
+    segment.  Per block: Eq. (3) for every pair (:func:`_eq3_block`); the
+    survival products as one ``multiply.reduceat`` over the segments,
+    which multiplies each segment's rows in order, factor for factor
+    :func:`eq2_probability`; then the ordered dot with each center's
+    probabilities, over its real samples.  Results are bit-identical to
+    evaluating the centers one by one, and the Python call count is
+    O(blocks), not O(pairs).
+    """
+    samples = np.asarray(samples, dtype=np.float64)
+    n_slots, dims = samples.shape[1], samples.shape[2]
+    qq = as_point(q, dims=dims)
+    centers = np.asarray(centers, dtype=np.intp)
+    offsets = np.asarray(offsets, dtype=np.intp)
+    rows = np.asarray(rows, dtype=np.intp)
+    # Slot-major layouts, (d, S, n) and (S, n): a gather by pair lands the
+    # pairs on the contiguous axis, for the centers and the others alike.
+    coords = np.ascontiguousarray(samples.transpose(2, 1, 0))
+    reach = np.abs(qq[:, np.newaxis, np.newaxis] - coords)
+    slot_probabilities = np.ascontiguousarray(probabilities.T)
+    slot_mask = np.ascontiguousarray(mask.T)
+
+    out = np.empty(centers.shape[0], dtype=np.float64)
+    budget = max(1, _PAIR_BLOCK_ELEMENTS // n_slots)
+    first = 0
+    while first < centers.shape[0]:
+        last = int(
+            np.searchsorted(offsets, offsets[first] + budget, side="right")
+        ) - 1
+        last = min(max(last, first + 1), centers.shape[0])
+        block = centers[first:last]
+        lengths = np.diff(offsets[first : last + 1])
+        pair_centers = np.repeat(block, lengths)
+        pair_rows = rows[offsets[first] : offsets[last]]
+        eq3 = _eq3_block(
+            [coords[j][:, pair_centers] for j in range(dims)],
+            [reach[j][:, pair_centers] for j in range(dims)],
+            coords[:, :, pair_rows],
+            slot_probabilities[:, pair_rows],
+            slot_mask[:, pair_rows],
+        )
+        # reduceat cannot express an empty segment: reduce the non-empty
+        # ones (strictly increasing starts) and leave the others at 1.0.
+        survival = np.ones((n_slots, block.shape[0]), dtype=np.float64)
+        filled = np.flatnonzero(lengths)
+        if filled.size:
+            starts = offsets[first:last][filled] - offsets[first]
+            survival[:, filled] = np.multiply.reduceat(
+                1.0 - eq3, starts, axis=1
+            )
+        center_probabilities = slot_probabilities[:, block]
+        center_mask = slot_mask[:, block]
+        total = np.zeros(block.shape[0], dtype=np.float64)
+        for i in range(n_slots):
+            total += np.where(
+                center_mask[i], center_probabilities[i] * survival[i], 0.0
+            )
+        out[first:last] = total
+        first = last
+    return out
 
 
 def influence_mask(

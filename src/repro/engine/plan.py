@@ -80,10 +80,10 @@ class QueryPlan:
 
 def plan_prsq(spec: PRSQSpec) -> QueryPlan:
     def run(session: "Session") -> Any:
-        probabilities = session.prsq_probabilities(spec.q)
+        probabilities = session.probability_map(spec.q)
         with _span("refine", alpha=spec.alpha, want=spec.want):
             if spec.want == "probabilities":
-                return dict(probabilities)
+                return probabilities
             if spec.want == "answers":
                 return [
                     oid for oid, pr in probabilities.items()

@@ -47,7 +47,7 @@ from repro.engine.cache import LRUCache, NullCache
 from repro.engine.plan import QueryPlan, compile_plan
 from repro.engine.spec import QuerySpec
 from repro.exceptions import SpecMismatchError
-from repro.prsq.query import prsq_probabilities as _prsq_probabilities
+from repro.prsq.query import ProbabilityMap, prsq_probability_map
 from repro.uncertain.dataset import CertainDataset, UncertainDataset
 from repro.uncertain.delta import DatasetDelta
 from repro.uncertain.pdf import ContinuousUncertainObject
@@ -326,13 +326,14 @@ class Session:
     # ------------------------------------------------------------------
     # shared cached sub-computations
     # ------------------------------------------------------------------
-    def prsq_probabilities(self, q: Sequence[float]) -> Dict[Hashable, float]:
+    def probability_map(self, q: Sequence[float]) -> ProbabilityMap:
         """``Pr(u)`` for every object at query point *q*, cached.
 
         The probability map is alpha-independent, so PRSQ queries at the
         same point with different thresholds share one evaluation — this
         is the engine's single biggest amortization for multi-user traffic
-        against a common catalogue.
+        against a common catalogue.  The map is read-only, so the cache
+        hands out the cached object itself, at 8 bytes an object.
         """
         q_tuple = tuple(float(v) for v in q)
         # use_numpy deliberately stays out of the cache key: both kernel
@@ -341,11 +342,15 @@ class Session:
         key = self._key("prsq-probabilities", q_tuple)
         value, _ = self.cache.get_or_compute(
             key,
-            lambda: _prsq_probabilities(
+            lambda: prsq_probability_map(
                 self.dataset, q_tuple, use_numpy=self.use_numpy
             ),
         )
-        return dict(value)
+        return value
+
+    def prsq_probabilities(self, q: Sequence[float]) -> Dict[Hashable, float]:
+        """:meth:`probability_map` as a plain dict (a private copy)."""
+        return dict(self.probability_map(q).items())
 
     # ------------------------------------------------------------------
     # execution

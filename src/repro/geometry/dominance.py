@@ -74,30 +74,6 @@ def dominance_vector(points: np.ndarray, target: PointLike, center: PointLike) -
     return np.logical_and((dp <= dt).all(axis=1), (dp < dt).any(axis=1))
 
 
-def _complete_bounds(s: np.ndarray, h: np.ndarray) -> tuple:
-    """``[lo, hi]`` covering every float ``p`` with ``|p - s| <= h``.
-
-    The naive bounds ``s ∓ h`` round to nearest, which can land strictly
-    inside the set of points passing the :func:`dynamically_dominates`
-    comparison ``|p - s| <= |q - s|`` (e.g. ``s=1, q=2.22e-16``: the point
-    ``p=2.22e-16`` ties ``q``'s distance after rounding yet falls below
-    ``fl(s - h)``).  Because ``|fl(p - s)|`` is monotone in ``p`` on either
-    side of ``s``, probing one float past each bound is an exact
-    completeness check; unsound bounds are stepped outward in units of one
-    ``h``-ulp until the probe fails.  Sound bounds are returned untouched,
-    so exact cases (and degenerate ``h = 0`` rectangles) keep their naive
-    values.
-    """
-    lo = s - h
-    hi = s + h
-    # Infinite or overflowing inputs: an infinite-extent side already covers
-    # every passing point, and ulp-stepping from +/-inf would never
-    # terminate — keep the naive bounds.
-    if not (np.isfinite(lo).all() and np.isfinite(hi).all()):
-        return lo, hi
-    return _widen(s, h, lo, -np.inf), _widen(s, h, hi, np.inf)
-
-
 def _widen(s: np.ndarray, h: np.ndarray, bound: np.ndarray, toward: float) -> np.ndarray:
     outward = np.minimum if toward < 0 else np.maximum
     step = h.copy()
@@ -131,9 +107,40 @@ def dominance_rectangle(sample: PointLike, q: PointLike) -> Rect:
     points that pass the dominance comparison.
     """
     s = as_point(sample)
-    h = np.abs(as_point(q) - s)
-    lo, hi = _complete_bounds(s, h)
-    return Rect(lo, hi)
+    lo, hi = dominance_bounds(s[np.newaxis, :], q)
+    return Rect(lo[0], hi[0])
+
+
+def dominance_bounds(samples: np.ndarray, q: PointLike) -> tuple:
+    """``(lo, hi)`` of every row's :func:`dominance_rectangle`, in one pass.
+
+    *samples* is an ``(m, d)`` matrix; row ``i`` of the returned bounds
+    covers every float ``p`` with ``|p - s| <= |q - s|`` for ``s =
+    samples[i]``.  The naive bounds ``s ∓ h`` round to nearest, which can
+    land strictly inside that set (e.g. ``s=1, q=2.22e-16``: the point
+    ``p=2.22e-16`` ties ``q``'s distance after rounding yet falls below
+    ``fl(s - h)``).  Because ``|fl(p - s)|`` is monotone in ``p`` on either
+    side of ``s``, probing one float past each bound is an exact
+    completeness check; unsound bounds are stepped outward in units of one
+    ``h``-ulp until the probe fails.  Sound bounds are returned untouched,
+    so exact cases (and degenerate ``h = 0`` rectangles) keep their naive
+    values.  The widening is elementwise, so widening all rows together
+    moves no bound.
+    """
+    s = np.asarray(samples, dtype=np.float64)
+    h = np.abs(as_point(q, dims=s.shape[1]) - s)
+    lo = s - h
+    hi = s + h
+    # A row with an infinite or overflowing bound keeps its naive bounds:
+    # an infinite-extent side already covers every passing point, and
+    # ulp-stepping from +/-inf would never terminate.
+    finite = np.isfinite(lo).all(axis=1) & np.isfinite(hi).all(axis=1)
+    if finite.all():
+        return _widen(s, h, lo, -np.inf), _widen(s, h, hi, np.inf)
+    if finite.any():
+        lo[finite] = _widen(s[finite], h[finite], lo[finite], -np.inf)
+        hi[finite] = _widen(s[finite], h[finite], hi[finite], np.inf)
+    return lo, hi
 
 
 def dominated_by_any(points: np.ndarray, target: PointLike, center: PointLike) -> bool:

@@ -43,15 +43,15 @@ from repro.index.rtree import RTree
 from repro.index.stats import AccessStats
 from repro.obs import span as _span
 
-#: Windows per grouped-traversal block: groups are processed in blocks so
-#: the (frontier, windows) intersection scratch stays a few MB even when
-#: thousands of windows are answered in one call.
-GROUP_WINDOW_CHUNK = 1024
+#: Windows (padding slots included) per grouped-traversal block: groups are
+#: processed in blocks so the (windows, frontier) intersection scratch
+#: stays small even when thousands of windows are answered in one call.
+GROUP_WINDOW_CHUNK = 512
 
-#: Elements per (rects, windows, dims) intersection broadcast: rect rows
-#: are sliced so one wide frontier (every leaf entry of a large dataset)
+#: Elements per (windows, rects) intersection matrix: rect columns are
+#: sliced so one wide frontier (every leaf entry of a large dataset)
 #: cannot blow up the comparison scratch.
-_INTERSECT_SCRATCH_ELEMENTS = 1 << 22
+_INTERSECT_SCRATCH_ELEMENTS = 1 << 18
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -77,6 +77,36 @@ def _stack_windows(
     return lo, hi
 
 
+def pack_window_groups(
+    groups: Sequence[Sequence[Rect]], dims: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(G, K, d)`` bounds of ragged window groups, NaN-padded to width K.
+
+    ``K`` is the largest group.  A padding slot is all NaN, and a NaN
+    bound fails every closed-interval comparison, so padding can never
+    intersect a node or an entry: it adds no hit and no node visit.
+    """
+    groups = [list(group) for group in groups]
+    width = max((len(group) for group in groups), default=0)
+    lo = np.full((len(groups), width, dims), np.nan)
+    hi = np.full((len(groups), width, dims), np.nan)
+    for g, windows in enumerate(groups):
+        if windows:
+            lo[g, : len(windows)], hi[g, : len(windows)] = _stack_windows(
+                windows, dims
+            )
+    return lo, hi
+
+
+def _split_groups(
+    groups: np.ndarray, entries: np.ndarray, n_groups: int
+) -> List[List[int]]:
+    """Per-group entry lists from group-sorted ``(group, entry)`` hits."""
+    bounds = np.searchsorted(groups, np.arange(n_groups + 1)).tolist()
+    flat = entries.tolist()
+    return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
+
+
 class PackedRTree:
     """Immutable array-backed snapshot of one :class:`RTree`.
 
@@ -85,7 +115,9 @@ class PackedRTree:
     exposes, plus the batched multi-window kernels ``range_search_many``
     and ``range_search_any_grouped``.  Hit *sets* and access accounting
     are identical to the pointer tree; ``range_search_any`` additionally
-    shares its canonical (unique, ``repr``-sorted) result order.
+    shares its canonical (unique, ``repr``-sorted) result order.  All of
+    them run on :meth:`group_hits`, which answers array-shaped window
+    groups with entry indices instead of payloads.
     """
 
     __slots__ = (
@@ -166,8 +198,9 @@ class PackedRTree:
                 next_child += len(node.children)
 
         if payloads:
-            entry_lo = np.stack(lo_parts)
-            entry_hi = np.stack(hi_parts)
+            # concatenate + reshape: a quarter of np.stack's per-part cost
+            entry_lo = np.concatenate(lo_parts).reshape(-1, dims)
+            entry_hi = np.concatenate(hi_parts).reshape(-1, dims)
         else:
             entry_lo = np.empty((0, dims), dtype=np.float64)
             entry_hi = np.empty((0, dims), dtype=np.float64)
@@ -308,11 +341,14 @@ class PackedRTree:
         """
         windows = list(windows)
         with _span("index-search", kernel="packed-many", windows=len(windows)):
-            results: List[List[Any]] = []
-            for wlo, whi, gstarts in self._window_blocks(windows):
-                for eidx in self._grouped_hits(wlo, whi, gstarts):
-                    results.append([self.payloads[i] for i in eidx])
-            return results
+            lo, hi = _stack_windows(windows, self.dims)
+            groups, entries = self.group_hits(
+                lo[:, np.newaxis, :], hi[:, np.newaxis, :]
+            )
+            return [
+                [self.payloads[i] for i in part]
+                for part in _split_groups(groups, entries, len(windows))
+            ]
 
     def range_search_any_grouped(
         self, groups: Sequence[Sequence[Rect]]
@@ -320,137 +356,122 @@ class PackedRTree:
         """One ``range_search_any`` answer per window group, in one pass.
 
         Semantically (hit sets, canonical order, *and* access accounting)
-        identical to calling ``range_search_any`` once per group — this is
-        the many-window filter kernel the batched PRSQ evaluation uses.
+        identical to calling ``range_search_any`` once per group.  The
+        PRSQ evaluation skips the payloads altogether and asks for
+        :meth:`group_hits` instead.
         """
         groups = [list(group) for group in groups]
         with _span(
             "index-search", kernel="packed-grouped", groups=len(groups)
         ):
-            results: List[List[Any]] = []
-            for wlo, whi, gstarts in self._group_blocks(groups):
-                for eidx in self._grouped_hits(wlo, whi, gstarts):
-                    unique = dict.fromkeys(self.payloads[i] for i in eidx)
-                    results.append(sorted(unique, key=repr))
-            return results
+            hit_groups, entries = self.group_hits(
+                *pack_window_groups(groups, self.dims)
+            )
+            return [
+                sorted(dict.fromkeys(self.payloads[i] for i in part), key=repr)
+                for part in _split_groups(hit_groups, entries, len(groups))
+            ]
 
     # ------------------------------------------------------------------
     # grouped traversal core
     # ------------------------------------------------------------------
-    def _window_blocks(self, windows):
-        """Yield ``(wlo, whi, gstarts)`` blocks of singleton groups."""
-        windows = list(windows)
-        for start in range(0, len(windows), GROUP_WINDOW_CHUNK):
-            chunk = windows[start : start + GROUP_WINDOW_CHUNK]
-            wlo, whi = _stack_windows(chunk, self.dims)
-            yield wlo, whi, np.arange(len(chunk) + 1, dtype=np.intp)
+    def group_hits(
+        self, lo: np.ndarray, hi: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Every ``(group, entry)`` hit of a batch of window groups.
 
-    def _group_blocks(self, groups):
-        """Yield ``(wlo, whi, gstarts)`` blocks covering whole groups.
+        *lo* / *hi* are ``(G, K, d)`` bounds: group ``g`` is the windows
+        ``lo[g, k] .. hi[g, k]``, NaN slots being padding (see
+        :func:`pack_window_groups`).  Returns two parallel index arrays
+        ``(groups, entries)``, sorted by group and then by entry: entry
+        ``e`` crosses some window of group ``g``.
 
-        Groups are never split (a group is one independent query), so a
-        block holds as many whole groups as fit the window budget — at
-        least one per block even when a single group exceeds it.
+        Hit sets and access accounting are those of one
+        ``range_search_any`` per group.  A node is visited *for group g*
+        iff its parent was and its MBR crosses one of g's windows (the
+        root unconditionally), exactly the pointer traversal's per-group
+        visit set, so summing the incidence matrix reproduces the node
+        accesses a Python loop over the groups would record, while every
+        level is a few elementwise comparisons over windows × frontier.
         """
-        pending: List[Sequence[Rect]] = []
-        pending_windows = 0
-        for group in groups:
-            group = list(group)
-            if pending and pending_windows + len(group) > GROUP_WINDOW_CHUNK:
-                yield self._pack_block(pending)
-                pending, pending_windows = [], 0
-            pending.append(group)
-            pending_windows += len(group)
-        if pending:
-            yield self._pack_block(pending)
-
-    def _pack_block(self, block_groups: List[Sequence[Rect]]):
-        flat = [w for group in block_groups for w in group]
-        wlo, whi = _stack_windows(flat, self.dims)
-        gstarts = np.zeros(len(block_groups) + 1, dtype=np.intp)
-        np.cumsum([len(g) for g in block_groups], out=gstarts[1:])
-        return wlo, whi, gstarts
-
-    def _group_incidence(
-        self,
-        rect_lo: np.ndarray,
-        rect_hi: np.ndarray,
-        wlo: np.ndarray,
-        whi: np.ndarray,
-        gstarts: np.ndarray,
-    ) -> np.ndarray:
-        """``(R, G)`` mask: rect r intersects *some* window of group g."""
-        n_groups = gstarts.shape[0] - 1
-        n_windows = wlo.shape[0]
-        n_rects = rect_lo.shape[0]
-        if n_windows == 0 or n_rects == 0:
-            return np.zeros((n_rects, n_groups), dtype=bool)
-        # reduceat cannot express empty segments, so reduce over the
-        # non-empty groups only (their starts are strictly increasing and
-        # in range; empty groups between or after them contribute zero
-        # windows, keeping every segment boundary correct) and leave the
-        # empty groups' columns False.
-        empty = gstarts[1:] == gstarts[:-1]
-        nonempty_cols = np.flatnonzero(~empty)
-        nonempty_starts = gstarts[:-1][nonempty_cols]
-        grouped = np.zeros((n_rects, n_groups), dtype=bool)
-        chunk = max(
-            1, _INTERSECT_SCRATCH_ELEMENTS // (n_windows * self.dims)
-        )
-        for lo in range(0, n_rects, chunk):
-            sl = slice(lo, min(lo + chunk, n_rects))
-            hit = np.logical_and(
-                (wlo[np.newaxis, :, :] <= rect_hi[sl, np.newaxis, :]).all(
-                    axis=2
-                ),
-                (rect_lo[sl, np.newaxis, :] <= whi[np.newaxis, :, :]).all(
-                    axis=2
-                ),
-            )
-            block = grouped[sl]  # slice view: writes land in `grouped`
-            block[:, nonempty_cols] = np.logical_or.reduceat(
-                hit, nonempty_starts, axis=1
-            )
-        return grouped
-
-    def _grouped_hits(
-        self, wlo: np.ndarray, whi: np.ndarray, gstarts: np.ndarray
-    ) -> List[np.ndarray]:
-        """Entry-index hits per group; accounting matches per-group scans.
-
-        A node is visited *for group g* iff its parent was and its MBR
-        crosses at least one of g's windows (the root unconditionally),
-        exactly the pointer traversal's per-group visit set — so summing
-        the incidence matrix reproduces the node accesses a Python loop
-        over the groups would record, while every level is evaluated in
-        one broadcast over frontier × windows.
-        """
-        n_groups = gstarts.shape[0] - 1
+        n_groups, width = lo.shape[0], lo.shape[1]
         self.stats.queries += n_groups
+        per_block = max(1, GROUP_WINDOW_CHUNK // max(1, width))
+        groups: List[np.ndarray] = [np.empty(0, dtype=np.intp)]
+        entries: List[np.ndarray] = [np.empty(0, dtype=np.intp)]
+        for start in range(0, n_groups, per_block):
+            block_groups, block_entries = self._block_hits(
+                lo[start : start + per_block], hi[start : start + per_block]
+            )
+            groups.append(block_groups + start)
+            entries.append(block_entries)
+        return np.concatenate(groups), np.concatenate(entries)
+
+    def _block_hits(
+        self, lo: np.ndarray, hi: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`group_hits` for one block of groups."""
+        n_groups = lo.shape[0]
+        wlo = lo.reshape(-1, self.dims)
+        whi = hi.reshape(-1, self.dims)
         active = np.zeros(1, dtype=np.intp)
-        incidence = np.ones((1, n_groups), dtype=bool)
+        incidence = np.ones((n_groups, 1), dtype=bool)
         for _ in range(self.height - 1):
             self.stats.node_accesses += int(incidence.sum())
             counts = self.child_count[active]
             children = _ranges(self.child_start[active], counts)
             parent = np.repeat(np.arange(active.size, dtype=np.intp), counts)
-            grouped = self._group_incidence(
+            grouped = self._incidence(
                 self.node_lo[children], self.node_hi[children],
-                wlo, whi, gstarts,
+                wlo, whi, n_groups,
             )
-            grouped &= incidence[parent]
-            keep = grouped.any(axis=1)
+            grouped &= incidence[:, parent]
+            keep = grouped.any(axis=0)
             active = children[keep]
-            incidence = grouped[keep]
-        self.stats.node_accesses += int(incidence.sum())
-        self.stats.leaf_accesses += int(incidence.sum())
+            incidence = grouped[:, keep]
+        visited = int(incidence.sum())
+        self.stats.node_accesses += visited
+        self.stats.leaf_accesses += visited
 
         counts = self.entry_count[active]
         eidx = _ranges(self.entry_start[active], counts)
         parent = np.repeat(np.arange(active.size, dtype=np.intp), counts)
-        grouped = self._group_incidence(
-            self.entry_lo[eidx], self.entry_hi[eidx], wlo, whi, gstarts
+        grouped = self._incidence(
+            self.entry_lo[eidx], self.entry_hi[eidx], wlo, whi, n_groups
         )
-        if grouped.size:
-            grouped &= incidence[parent]
-        return [eidx[grouped[:, g]] for g in range(n_groups)]
+        grouped &= incidence[:, parent]
+        hit_groups, columns = np.nonzero(grouped)
+        return hit_groups, eidx[columns]
+
+    def _incidence(
+        self,
+        rect_lo: np.ndarray,
+        rect_hi: np.ndarray,
+        wlo: np.ndarray,
+        whi: np.ndarray,
+        n_groups: int,
+    ) -> np.ndarray:
+        """``(G, R)`` mask: rect r intersects *some* window of group g.
+
+        *wlo* / *whi* hold the groups' windows back to back, ``K`` per
+        group.  The closed-interval test runs one dimension at a time on
+        ``(windows, rects)`` matrices, the same comparisons
+        ``Rect.intersects`` makes; a group's ``K`` rows then fold with
+        one ``any`` over the middle axis.
+        """
+        n_windows, n_rects = wlo.shape[0], rect_lo.shape[0]
+        out = np.zeros((n_groups, n_rects), dtype=bool)
+        if n_windows == 0 or n_rects == 0:
+            return out
+        # dimension-major copies: each comparison row is contiguous
+        rect_lo, rect_hi = rect_lo.T.copy(), rect_hi.T.copy()
+        chunk = max(1, _INTERSECT_SCRATCH_ELEMENTS // n_windows)
+        for start in range(0, n_rects, chunk):
+            sl = slice(start, start + chunk)
+            hit = wlo[:, 0, np.newaxis] <= rect_hi[0, sl]
+            hit &= rect_lo[0, sl] <= whi[:, 0, np.newaxis]
+            for j in range(1, self.dims):
+                hit &= wlo[:, j, np.newaxis] <= rect_hi[j, sl]
+                hit &= rect_lo[j, sl] <= whi[:, j, np.newaxis]
+            out[:, sl] = hit.reshape(n_groups, -1, hit.shape[1]).any(axis=1)
+        return out

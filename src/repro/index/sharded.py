@@ -14,8 +14,9 @@ Hit-set soundness rides on two facts:
   concatenation of per-shard hits is exactly the global hit set with no
   duplicates;
 * every call site canonicalizes hit order before it can influence a
-  result — ``positions_of`` (sorted dataset positions, the Eq. (2)
-  product order), an explicit ``sorted(..., key=repr)``, or an
+  result — the sorted dataset positions of
+  :meth:`~repro.uncertain.dataset.UncertainDataset.relevance_sets` (the
+  Eq. (2) product order), an explicit ``sorted(..., key=repr)``, or an
   order-insensitive reduction (dominator counts, ``any()``) — so the
   shard-major arrival order is invisible downstream.  This is what makes
   every query family bit-identical between k=1 and k>1 (property-tested).
@@ -241,6 +242,51 @@ class ShardedIndex:
                 for g, part in zip(sub_map, per_group):
                     results[g].extend(part)
         return [sorted(part, key=repr) for part in results]
+
+    @property
+    def payloads(self) -> List[Any]:
+        """Every shard's payload table, concatenated in shard order.
+
+        The entry space of :meth:`group_hits`: shard ``s``'s entry ``e``
+        is global entry ``e`` plus the entry count of the shards before.
+        """
+        return [payload for index in self.indexes for payload in index.payloads]
+
+    def group_hits(
+        self, lo: np.ndarray, hi: np.ndarray
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``PackedRTree.group_hits`` scattered per shard, gathered by concat.
+
+        A shard traverses only the windows crossing its root MBR (the
+        others become NaN padding) and only the groups left with one, the
+        pruning of :meth:`range_search_any_grouped`.  The shards are
+        disjoint, so the concatenated ``(group, entry)`` pairs are exactly
+        the unsharded hits, in shard-major order; callers sort them.
+        Always in-process: the scatter pool serves the payload calls only.
+        """
+        n_groups, width, dims = lo.shape
+        flat_lo = lo.reshape(-1, dims)
+        flat_hi = hi.reshape(-1, dims)
+        real = ~np.isnan(flat_lo).any(axis=1)
+        crossing = np.zeros((self.shard_count, flat_lo.shape[0]), dtype=bool)
+        if real.any():
+            crossing[:, real] = self._window_mask(flat_lo[real], flat_hi[real])
+        groups: List[np.ndarray] = [np.empty(0, dtype=np.intp)]
+        entries: List[np.ndarray] = [np.empty(0, dtype=np.intp)]
+        base = 0
+        for shard, index in enumerate(self.indexes):
+            keep = crossing[shard].reshape(n_groups, width)
+            alive = np.flatnonzero(keep.any(axis=1))
+            if alive.size:
+                slots = keep[alive][:, :, np.newaxis]
+                shard_groups, shard_entries = index.group_hits(
+                    np.where(slots, lo[alive], np.nan),
+                    np.where(slots, hi[alive], np.nan),
+                )
+                groups.append(alive[shard_groups])
+                entries.append(shard_entries + base)
+            base += len(index.payloads)
+        return np.concatenate(groups), np.concatenate(entries)
 
     # ------------------------------------------------------------------
     def _dispatch(

@@ -13,15 +13,18 @@ from repro.prsq.probability import (
     sample_dominance_probability,
 )
 from repro.prsq.query import (
+    ProbabilityMap,
     is_prsq_answer,
     probabilistic_reverse_skyline,
     prsq_non_answers,
     prsq_probabilities,
+    prsq_probability_map,
 )
 
 __all__ = [
     "MembershipOracle",
     "ProbabilityEstimate",
+    "ProbabilityMap",
     "sample_reverse_skyline_probability",
     "dominance_probability_matrix",
     "dominance_probability_vector",
@@ -30,6 +33,7 @@ __all__ = [
     "probability_from_matrix",
     "prsq_non_answers",
     "prsq_probabilities",
+    "prsq_probability_map",
     "reverse_skyline_probability",
     "sample_dominance_probability",
 ]

@@ -57,20 +57,20 @@ class MembershipOracle:
         self.q = as_point(q, dims=dataset.dims)
         self.alpha = alpha
 
+        center = dataset.index_of(an_oid)
         if relevant_ids is None and use_index:
             windows = [
                 dominance_rectangle(self.an.samples[i], self.q)
                 for i in range(self.an.num_samples)
             ]
-            hits = dataset.spatial_index(use_numpy).range_search_any(windows)
-            indices = dataset.positions_of(hits, exclude=(an_oid,))
+            indices = dataset.window_positions(
+                windows, exclude=center, use_numpy=use_numpy
+            ).tolist()
         elif relevant_ids is None:
-            indices = [
-                i for i, obj in enumerate(dataset) if obj.oid != an_oid
-            ]
+            indices = [i for i in range(len(dataset)) if i != center]
         else:
-            indices = dataset.positions_of(
-                set(relevant_ids), exclude=(an_oid,)
+            indices = sorted(
+                {dataset.index_of(oid) for oid in relevant_ids} - {center}
             )
         matrix = self._build_matrix(indices, use_numpy)
 

@@ -13,10 +13,10 @@ the samples of ``u'`` that dynamically dominate ``q`` w.r.t. ``u_i``.
 Two bit-compatible evaluation paths are provided, selected by the engine's
 ``use_numpy`` switch:
 
-* the **tensor path** — one chunked ``(S_center, n_rel, S_max, d)``
-  broadcast over the dataset's padded sample tensor
-  (:func:`repro.engine.kernels.eq3_dominance_tensor`) followed by the
-  batched Eq. (2) reduction;
+* the **tensor path** — blocked elementwise Eq. (3) over the dataset's
+  padded sample tensor followed by segmented Eq. (2) reductions
+  (:func:`repro.engine.kernels.eq2_segmented`), for one center here and
+  for every center of a query in :mod:`repro.prsq.query`;
 * the **scalar path** — the per-dominator / per-sample loops below, kept
   as the reference implementation.
 
@@ -100,27 +100,28 @@ def relevant_indices(
     With the index, only objects whose MBR crosses one of *oid*'s dominance
     rectangles can have a non-zero Eq. (3) vector (Lemma 2); ``use_numpy``
     selects the packed level-frontier traversal vs. the pointer tree —
-    identical hit sets and node accesses either way.  The kernel returns
-    canonically ordered unique hits, and sorting them by dataset position
-    fixes the Eq. (2) floating-point product order, so the returned
-    probability bits are identical across runs and across
+    identical hit sets and node accesses either way.  Ascending dataset
+    positions fix the Eq. (2) floating-point product order, so the
+    returned probability bits are identical across runs and across
     ``use_index=True/False``.
     """
     target = dataset.get(oid)
     qq = as_point(q, dims=dataset.dims)
-    excluded = set(exclude) if exclude is not None else set()
-    excluded.add(oid)
-
+    center = dataset.index_of(oid)
     if use_index:
         windows = [
             dominance_rectangle(target.samples[i], qq)
             for i in range(target.num_samples)
         ]
-        hit_ids = dataset.spatial_index(use_numpy).range_search_any(windows)
-        return dataset.positions_of(hit_ids, exclude=excluded)
-    return [
-        i for i, obj in enumerate(dataset) if obj.oid not in excluded
-    ]
+        positions = dataset.window_positions(
+            windows, exclude=center, use_numpy=use_numpy
+        )
+    else:
+        positions = np.delete(np.arange(len(dataset)), center)
+    if exclude is not None:
+        removed = [dataset.index_of(o) for o in exclude if o in dataset]
+        positions = positions[~np.isin(positions, removed)]
+    return positions.tolist()
 
 
 def reverse_skyline_probability(
@@ -143,47 +144,25 @@ def reverse_skyline_probability(
         Treat these object ids as removed (evaluates ``Pr`` over ``P - Γ``).
     use_numpy:
         Tensorized kernels (default) vs. the scalar reference loop; both
-        produce bit-identical results.
+        produce bit-identical results.  The tensor path is the one-center
+        case of the batched PRSQ kernel
+        (:func:`repro.engine.kernels.eq2_segmented`).
     """
+    from repro.engine.kernels import eq2_segmented, resolve_use_numpy
+
     target = dataset.get(oid)
     qq = as_point(q, dims=dataset.dims)
     indices = relevant_indices(
         dataset, oid, qq, use_index=use_index, exclude=exclude,
         use_numpy=use_numpy,
     )
-    return probability_at_indices(
-        dataset, target, indices, qq, use_numpy=use_numpy
-    )
-
-
-def probability_at_indices(
-    dataset: UncertainDataset,
-    target: UncertainObject,
-    indices: List[int],
-    qq: np.ndarray,
-    use_numpy: Optional[bool] = None,
-) -> float:
-    """Eq. (2) over the relevant objects at dataset positions *indices*.
-
-    The shared evaluation core of :func:`reverse_skyline_probability` and
-    the batched PRSQ path (:func:`repro.prsq.query.prsq_probabilities`):
-    *indices* must be sorted dataset positions (the canonical Eq. (2)
-    product order).  Tensor and scalar paths are bit-identical.
-    """
-    from repro.engine.kernels import (
-        eq2_probability,
-        eq3_dominance_tensor,
-        resolve_use_numpy,
-    )
-
     if resolve_use_numpy(use_numpy):
         tensor = dataset.tensor
-        samples, probabilities, mask = tensor.rows(indices)
-        eq3 = eq3_dominance_tensor(
-            target.samples, samples, probabilities, mask, qq, use_numpy=True
+        probabilities = eq2_segmented(
+            tensor.samples, tensor.probabilities, tensor.mask,
+            [dataset.index_of(oid)], [0, len(indices)], indices, qq,
         )
-        return eq2_probability(target.probabilities, eq3)
-
+        return float(probabilities[0])
     objects = dataset.objects()
     matrix = dominance_probability_matrix(
         target, (objects[i] for i in indices), qq

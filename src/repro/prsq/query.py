@@ -7,18 +7,74 @@ uncertain object whose probability of being a reverse skyline object of
 
 from __future__ import annotations
 
-from typing import Dict, Hashable, List, Optional, Tuple
+from collections.abc import ItemsView, Mapping
+from typing import Dict, Hashable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.dominance import dominance_rectangle
+from repro.geometry.dominance import dominance_bounds
 from repro.geometry.point import PointLike, as_point
 from repro.obs import span as _span
-from repro.prsq.probability import (
-    probability_at_indices,
-    reverse_skyline_probability,
-)
+from repro.prsq.probability import reverse_skyline_probability
 from repro.uncertain.dataset import UncertainDataset
+
+
+class ProbabilityMap(Mapping):
+    """Read-only ``{object id: Pr(u)}`` backed by one float64 array.
+
+    As a dict, a PRSQ probability map costs a hash table plus one boxed
+    float per object, about 60 bytes an object, and the engine caches one
+    map per query point.  This map keeps the ids by reference (a dataset
+    tensor's id list, shared by every map of one dataset version) and
+    the values as an array, 8 bytes an object, boxed only when read.
+    Iteration follows the id order and equality is a mapping's, so it
+    compares equal to the dict it replaces.  The id index that lookups
+    need is built on the first lookup and kept; ``dict(m.items())``
+    copies without one, ``dict(m)`` looks every id up.
+    """
+
+    __slots__ = ("_ids", "_values", "_index")
+
+    def __init__(self, ids: Sequence[Hashable], values: np.ndarray):
+        # takes the array over: a float64 array is frozen, not copied
+        values = np.asarray(values, dtype=np.float64)
+        if values.shape != (len(ids),):
+            raise ValueError(
+                f"{len(ids)} ids but values of shape {values.shape}"
+            )
+        values.flags.writeable = False
+        self._ids = ids
+        self._values = values
+        self._index: Optional[Dict[Hashable, int]] = None
+
+    def __len__(self) -> int:
+        return len(self._ids)
+
+    def __iter__(self) -> Iterator[Hashable]:
+        return iter(self._ids)
+
+    def __getitem__(self, oid: Hashable) -> float:
+        if self._index is None:
+            self._index = {key: i for i, key in enumerate(self._ids)}
+        return float(self._values[self._index[oid]])
+
+    def items(self) -> ItemsView:
+        return _Items(self)
+
+    def __repr__(self) -> str:
+        return f"ProbabilityMap({dict(self.items())!r})"
+
+    def __reduce__(self):
+        return ProbabilityMap, (list(self._ids), np.array(self._values))
+
+
+class _Items(ItemsView):
+    """Items straight from the id list and the array: no id lookups."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return zip(self._mapping._ids, self._mapping._values.tolist())
 
 
 def prsq_probabilities(
@@ -27,13 +83,32 @@ def prsq_probabilities(
     use_index: bool = True,
     use_numpy: Optional[bool] = None,
 ) -> Dict[Hashable, float]:
-    """``Pr(u)`` for every object in the dataset.
+    """``Pr(u)`` for every object in the dataset, as a plain dict.
+
+    The dict form of :func:`prsq_probability_map`.
+    """
+    return dict(
+        prsq_probability_map(
+            dataset, q, use_index=use_index, use_numpy=use_numpy
+        ).items()
+    )
+
+
+def prsq_probability_map(
+    dataset: UncertainDataset,
+    q: PointLike,
+    use_index: bool = True,
+    use_numpy: Optional[bool] = None,
+) -> ProbabilityMap:
+    """``Pr(u)`` for every object in the dataset, in dataset order.
 
     On the ``use_numpy`` index path the Lemma-2 filter for *all* objects
     runs as one grouped multi-window traversal of the packed R-tree
-    (:meth:`~repro.index.packed.PackedRTree.range_search_any_grouped`)
-    instead of one pointer scan per object; hit sets, node accesses and
-    result bits are identical to the per-object loop.
+    (:meth:`~repro.uncertain.dataset.UncertainDataset.relevance_sets`),
+    and Eq. (3)/(2) for all of them as one segmented kernel over the
+    resulting CSR relevance sets, instead of one scan and one evaluation
+    per object; hit sets, node accesses and result bits are identical to
+    the per-object loop.
     """
     from repro.engine.kernels import resolve_use_numpy
 
@@ -41,35 +116,43 @@ def prsq_probabilities(
     if use_index and resolve_use_numpy(use_numpy):
         return _prsq_probabilities_batched(dataset, qq)
     with _span("probability", mode="per-object", objects=len(dataset)):
-        return {
-            obj.oid: reverse_skyline_probability(
-                dataset, obj.oid, qq, use_index=use_index, use_numpy=use_numpy
-            )
-            for obj in dataset
-        }
+        return ProbabilityMap(
+            dataset.ids(),
+            [
+                reverse_skyline_probability(
+                    dataset, oid, qq, use_index=use_index, use_numpy=use_numpy
+                )
+                for oid in dataset.ids()
+            ],
+        )
 
 
 def _prsq_probabilities_batched(
     dataset: UncertainDataset, qq: np.ndarray
-) -> Dict[Hashable, float]:
-    """One grouped filter pass, then per-object Eq. (2) on the tensor path."""
-    with _span("filter", mode="grouped-windows", objects=len(dataset)):
-        groups = [
-            [
-                dominance_rectangle(obj.samples[i], qq)
-                for i in range(obj.num_samples)
-            ]
-            for obj in dataset
-        ]
-        hits_per = dataset.spatial_index(True).range_search_any_grouped(groups)
-    with _span("probability", mode="batched-eq2", objects=len(dataset)):
-        out: Dict[Hashable, float] = {}
-        for obj, hits in zip(dataset, hits_per):
-            indices = dataset.positions_of(hits, exclude=(obj.oid,))
-            out[obj.oid] = probability_at_indices(
-                dataset, obj, indices, qq, use_numpy=True
-            )
-    return out
+) -> ProbabilityMap:
+    """One grouped filter pass, then one segmented Eq. (3)/(2) pass.
+
+    Object ``i``'s dominance rectangles are row ``i`` of the tensor-shaped
+    window bounds (NaN where the tensor pads), so the relevance set of
+    tensor row ``i`` is CSR segment ``i``, its own row excluded.
+    """
+    from repro.engine.kernels import eq2_segmented
+
+    tensor = dataset.tensor
+    centers = np.arange(tensor.n)
+    with _span("filter", mode="grouped-windows", objects=tensor.n):
+        lo = np.full(tensor.samples.shape, np.nan)
+        hi = np.full(tensor.samples.shape, np.nan)
+        lo[tensor.mask], hi[tensor.mask] = dominance_bounds(
+            tensor.samples[tensor.mask], qq
+        )
+        offsets, rows = dataset.relevance_sets(lo, hi, exclude=centers)
+    with _span("probability", mode="segmented-eq2", objects=tensor.n):
+        values = eq2_segmented(
+            tensor.samples, tensor.probabilities, tensor.mask,
+            centers, offsets, rows, qq,
+        )
+    return ProbabilityMap(tensor.ids, values)
 
 
 def probabilistic_reverse_skyline(
@@ -82,7 +165,7 @@ def probabilistic_reverse_skyline(
     """Object ids whose ``Pr(u) >= alpha`` (the PRSQ answer set)."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    probabilities = prsq_probabilities(
+    probabilities = prsq_probability_map(
         dataset, q, use_index=use_index, use_numpy=use_numpy
     )
     return [oid for oid, pr in probabilities.items() if pr >= alpha]
@@ -96,7 +179,7 @@ def prsq_non_answers(
     use_numpy: Optional[bool] = None,
 ) -> List[Hashable]:
     """Object ids that are *non-answers* (the CRP inputs)."""
-    probabilities = prsq_probabilities(
+    probabilities = prsq_probability_map(
         dataset, q, use_index=use_index, use_numpy=use_numpy
     )
     return [oid for oid, pr in probabilities.items() if pr < alpha]

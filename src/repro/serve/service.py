@@ -28,7 +28,7 @@ from __future__ import annotations
 import asyncio
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 from repro import faults, obs
 from repro.api.results import QueryResult
@@ -64,6 +64,13 @@ def _execute_with_deadline(
     return _execute_captured(reader, spec)
 
 
+class _Stamp(NamedTuple):
+    """What a write's response needs of the snapshot it published."""
+
+    version: int
+    fingerprint: str
+
+
 class DatasetState:
     """One hosted dataset: writer session, published snapshot, writer queue."""
 
@@ -90,10 +97,13 @@ class DatasetState:
         Runs only on the writer queue's pool slot, so the live session is
         never touched concurrently.  The publish is a plain attribute
         store — atomic under the GIL — and failed outcomes leave the old
-        snapshot in place.  Returns ``(outcome, snapshot)`` where the
-        snapshot is the one *this* write published (or left in place), so
+        snapshot in place.  Returns ``(outcome, stamp)`` where the stamp
+        names the snapshot *this* write published (or left in place), so
         the response echoes this write's version even if a queued write
-        publishes again before the response is built.
+        publishes again before the response is built.  A stamp, not the
+        snapshot: the writer's idempotency window records the result of
+        each of its last writes, and snapshots would keep all their
+        arrays alive.
         """
         rule = faults.check("writer.apply", dataset=self.name, kind=spec.kind)
         if rule is not None and rule.action == "error":
@@ -106,7 +116,8 @@ class DatasetState:
         outcome = _execute_captured(self.session, spec)
         if outcome.error is None:
             self.published = self.session.read_snapshot()
-        return outcome, self.published
+        published = self.published
+        return outcome, _Stamp(published.version, published.fingerprint)
 
     @property
     def status(self) -> str:

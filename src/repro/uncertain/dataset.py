@@ -22,14 +22,28 @@ pass.
 from __future__ import annotations
 
 import hashlib
-from typing import Dict, Hashable, Iterable, Iterator, List, Optional, Sequence
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 import numpy as np
 
 from repro.exceptions import EmptyDatasetError
 from repro.geometry.point import PointLike, as_point_matrix
+from repro.geometry.rectangle import Rect
 from repro.index.bulk import bulk_load
-from repro.index.packed import PackedRTree
+from repro.index.packed import (
+    GROUP_WINDOW_CHUNK,
+    PackedRTree,
+    pack_window_groups,
+)
 from repro.index.rtree import DEFAULT_PAGE_SIZE, RTree
 from repro.index.stats import AccessStats
 from repro.uncertain.delta import DatasetDelta
@@ -184,20 +198,95 @@ class UncertainDataset:
 
             raise UnknownObjectError(f"unknown object {oid!r}") from None
 
-    def positions_of(
-        self, oids: Iterable[Hashable], exclude: Iterable[Hashable] = ()
-    ) -> List[int]:
-        """Sorted dataset positions of *oids* minus *exclude*.
+    def relevance_sets(
+        self,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        exclude: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Lemma-2 relevance sets of a batch of window groups, as CSR.
 
-        The one canonicalization every filter call site shares: index hits
-        become a pool in ascending dataset order — the Eq. (2) product
-        order the bit-parity contracts depend on — with the center (and
-        any ``P − Γ`` removals) dropped.  Keeping it here means no caller
-        can drift to a different tie-break.
+        Group ``g`` is the windows in row ``g`` of the ``(G, K, d)``
+        bounds, NaN slots being padding (see
+        :func:`~repro.index.packed.pack_window_groups`).  Returns
+        ``(offsets, positions)``: ``positions[offsets[g]:offsets[g + 1]]``
+        are the dataset positions of the objects whose MBR crosses some
+        window of group ``g``, ascending, minus ``exclude[g]`` when given
+        (the center of Eq. (2)'s ``P − {u}``).
+
+        Ascending positions are the canonical Eq. (2) product order the
+        bit-parity contracts depend on.  The packed index answers in
+        entry indices, which map to positions through one array; one sort
+        of ``(group, position)`` keys per block of groups then orders
+        every group of the block at once, for one index or for the
+        concatenated hits of k shards.  Blocks keep the scratch to one
+        block's hits.
         """
-        excluded = set(exclude)
-        return sorted(
-            self.index_of(oid) for oid in oids if oid not in excluded
+        index = self.spatial_index(True)
+        payloads = index.payloads
+        n_groups, n = lo.shape[0], len(self._objects)
+        # A batch maps its hits through a table of every entry's position;
+        # a lone group maps only its own hits.
+        table = self._position_table(payloads) if n_groups > 1 else None
+        if exclude is not None:
+            exclude = np.asarray(exclude, dtype=np.intp)
+        per_block = max(1, GROUP_WINDOW_CHUNK // max(1, lo.shape[1]))
+        counts: List[np.ndarray] = [np.zeros(1, dtype=np.intp)]
+        rows: List[np.ndarray] = [np.empty(0, dtype=np.intp)]
+        for start in range(0, n_groups, per_block):
+            stop = min(start + per_block, n_groups)
+            groups, entries = index.group_hits(lo[start:stop], hi[start:stop])
+            if table is None:
+                positions = self._hit_positions(payloads, entries)
+            else:
+                positions = table[entries]
+            if exclude is not None:
+                keep = positions != exclude[start:stop][groups]
+                groups, positions = groups[keep], positions[keep]
+            keys = np.sort(groups * n + positions)
+            counts.append(np.bincount(keys // n, minlength=stop - start))
+            rows.append(keys % n)
+        return np.cumsum(np.concatenate(counts)), np.concatenate(rows)
+
+    def window_positions(
+        self,
+        windows: Sequence[Rect],
+        exclude: Optional[int] = None,
+        use_numpy: Optional[bool] = None,
+    ) -> np.ndarray:
+        """Ascending positions of the objects whose MBR crosses a window.
+
+        The one-group :meth:`relevance_sets`, minus the position
+        *exclude*.  ``use_numpy=False`` scans the pointer tree instead
+        and maps its id hits to positions — the same set either way.
+        """
+        from repro.engine.kernels import resolve_use_numpy
+
+        windows = list(windows)
+        if resolve_use_numpy(use_numpy):
+            lo, hi = pack_window_groups([windows], self.dims)
+            centers = None if exclude is None else [exclude]
+            return self.relevance_sets(lo, hi, exclude=centers)[1]
+        hits = self.spatial_index(False).range_search_any(windows)
+        positions = sorted(self._index_of[oid] for oid in hits)
+        return np.array([p for p in positions if p != exclude], dtype=np.intp)
+
+    def _position_table(self, payloads: Sequence[Hashable]) -> np.ndarray:
+        """Dataset position of every index entry (its payload is an id)."""
+        return np.fromiter(
+            (self._index_of[oid] for oid in payloads),
+            dtype=np.intp,
+            count=len(payloads),
+        )
+
+    def _hit_positions(
+        self, payloads: Sequence[Hashable], entries: np.ndarray
+    ) -> np.ndarray:
+        """Dataset positions of the index entries *entries* only."""
+        return np.fromiter(
+            (self._index_of[payloads[e]] for e in entries.tolist()),
+            dtype=np.intp,
+            count=entries.size,
         )
 
     def content_digest(self) -> str:

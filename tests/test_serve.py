@@ -25,6 +25,7 @@ import pytest
 
 from repro.api.remote import RemoteClient
 from repro.engine.cache import LRUCache
+from repro.engine.session import Session
 from repro.engine.spec import CausalitySpec, PRSQSpec, UpdateSpec
 from repro.exceptions import (
     OverloadedError,
@@ -293,6 +294,31 @@ def test_inflight_reader_keeps_old_snapshot():
             assert set(old.dataset.ids()) == old_ids
             assert state.published is not old
             assert "late" in set(state.published.dataset.ids())
+
+    asyncio.run(main())
+
+
+def test_idempotency_window_records_stamps_not_snapshots():
+    """A recorded write keeps its version and fingerprint, not the
+    snapshot it published: the window holds the last 1024 writes."""
+
+    async def main():
+        async with DatasetService(
+            {"default": _dataset()}, _config()
+        ) as service:
+            state = service.state("default")
+            update = UpdateSpec(
+                inserts=(UncertainObject("late", [[9.0, 9.0]], [1.0]),)
+            )
+            envelope, version = await service.execute(update, idem="k1")
+            assert envelope.ok and version == 1
+            _sequence, (_outcome, stamp) = state.writer._idem_done["k1"]
+            assert not isinstance(stamp, Session)
+            assert stamp == (1, state.published.fingerprint)
+            # the retried write answers from the record, unapplied again
+            again, version = await service.execute(update, idem="k1")
+            assert again.ok and version == 1
+            assert state.published.version == 1
 
     asyncio.run(main())
 
