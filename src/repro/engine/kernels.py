@@ -349,10 +349,10 @@ def eq2_probability(
     and orders it — the ``P − Γ`` evaluations) as one ``multiply.reduce``
     down the rows, which multiplies the running product by each row in
     turn: factor for factor the scalar
-    :func:`repro.prsq.probability.probability_from_matrix` loop, whose
-    skipped all-zero rows multiply by an exact ``1.0`` here, a
-    floating-point no-op (Lemma 1's irrelevance argument in bit-exact
-    form).
+    :func:`repro.prsq.probability.probability_from_matrix` loop.  The
+    all-zero rows that loop never sees multiply by an exact ``1.0``
+    here, a floating-point no-op (Lemma 1's irrelevance argument in
+    bit-exact form).
     """
     center_probabilities = np.asarray(center_probabilities, dtype=np.float64)
     eq3 = np.asarray(eq3, dtype=np.float64).reshape(
