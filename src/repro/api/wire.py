@@ -28,64 +28,39 @@ _FROZENSET = "$frozenset"
 _MAP = "$map"
 _TAGS = (_TUPLE, _FROZENSET, _MAP)
 
-#: Exact types both codecs return unchanged.  Containers test their items
-#: against it before recursing, so a payload of a thousand ids or
-#: probabilities costs a thousand type lookups, not a thousand calls.
-_SCALARS = frozenset({str, int, float, bool, type(None)})
-
 
 def encode_value(value: Any) -> Any:
     """Recursively encode *value* into a JSON-representable form."""
     if isinstance(value, tuple):
-        return {_TUPLE: _encode_items(value)}
+        return {_TUPLE: [encode_value(v) for v in value]}
     if isinstance(value, (set, frozenset)):
-        return {_FROZENSET: _encode_items(sorted(value, key=repr))}
+        return {_FROZENSET: [encode_value(v) for v in sorted(value, key=repr)]}
     if isinstance(value, list):
-        return _encode_items(value)
+        return [encode_value(v) for v in value]
     if isinstance(value, dict):
         plain_keys = all(
             isinstance(k, str) and not k.startswith("$") for k in value
         )
         if plain_keys:
-            return {
-                k: v if type(v) in _SCALARS else encode_value(v)
-                for k, v in value.items()
-            }
-        return {_MAP: [
-            [k if type(k) in _SCALARS else encode_value(k),
-             v if type(v) in _SCALARS else encode_value(v)]
-            for k, v in value.items()
-        ]}
+            return {k: encode_value(v) for k, v in value.items()}
+        return {_MAP: [[encode_value(k), encode_value(v)] for k, v in value.items()]}
     return value
-
-
-def _encode_items(items: Any) -> list:
-    return [v if type(v) in _SCALARS else encode_value(v) for v in items]
 
 
 def decode_value(value: Any) -> Any:
     """Inverse of :func:`encode_value`."""
     if isinstance(value, list):
-        return _decode_items(value)
+        return [decode_value(v) for v in value]
     if isinstance(value, dict):
         if len(value) == 1:
             tag = next(iter(value))
             if tag == _TUPLE:
-                return tuple(_decode_items(value[tag]))
+                return tuple(decode_value(v) for v in value[tag])
             if tag == _FROZENSET:
-                return frozenset(_decode_items(value[tag]))
+                return frozenset(decode_value(v) for v in value[tag])
             if tag == _MAP:
                 return {
-                    (k if type(k) in _SCALARS else decode_value(k)):
-                    (v if type(v) in _SCALARS else decode_value(v))
-                    for k, v in value[tag]
+                    decode_value(k): decode_value(v) for k, v in value[tag]
                 }
-        return {
-            k: v if type(v) in _SCALARS else decode_value(v)
-            for k, v in value.items()
-        }
+        return {k: decode_value(v) for k, v in value.items()}
     return value
-
-
-def _decode_items(items: list) -> list:
-    return [v if type(v) in _SCALARS else decode_value(v) for v in items]

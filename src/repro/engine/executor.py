@@ -636,19 +636,14 @@ def _shard_worker_init(packed_list: List[Any]) -> None:
 
 
 def _shard_filter_run(
-    task: Tuple[int, str, Any]
+    task: Tuple[int, List[Any]]
 ) -> Tuple[Any, Tuple[int, int, int]]:
-    """Run one shard's batched filter call; returns (result, access delta)."""
+    """Run one shard's ``range_search_many``; returns (result, access delta)."""
     assert _SHARD_PACKED is not None, "shard worker initialized without arrays"
-    shard, kind, arg = task
+    shard, windows = task
     index = _SHARD_PACKED[shard]
     before = index.stats.snapshot()
-    if kind == "many":
-        result = index.range_search_many(arg)
-    elif kind == "grouped":
-        result = index.range_search_any_grouped(arg)
-    else:  # pragma: no cover - ShardedIndex only emits the two kinds
-        raise ValueError(f"unknown shard filter task kind {kind!r}")
+    result = index.range_search_many(windows)
     delta = index.stats.snapshot() - before
     return result, (delta.queries, delta.node_accesses, delta.leaf_accesses)
 
@@ -658,8 +653,7 @@ class ShardScatter:
 
     Complements :class:`ParallelExecutor`, which parallelizes *across
     queries*: a scatter pool parallelizes the filter phase *within* one
-    query by fanning the per-shard ``range_search_many`` /
-    ``range_search_any_grouped`` calls of a
+    query by fanning the per-shard ``range_search_many`` calls of a
     :class:`~repro.index.sharded.ShardedIndex` out to workers holding the
     frozen per-shard packed arrays (shipped once at :meth:`start`, the
     same zero-rebuild handoff the batch executor uses).
@@ -734,20 +728,15 @@ class ShardScatter:
             for shard, snapshot in zip(shards, self._shipped)
         )
 
-    def accepts(self, tasks: List[Tuple[int, str, Any]]) -> bool:
+    def accepts(self, tasks: List[Tuple[int, List[Any]]]) -> bool:
         """True iff *tasks* is worth shipping to the pool."""
         if self._pool is None:
             return False
-        windows = 0
-        for _shard, kind, arg in tasks:
-            if kind == "many":
-                windows += len(arg)
-            else:
-                windows += sum(len(group) for group in arg)
+        windows = sum(len(shard_windows) for _shard, shard_windows in tasks)
         return windows >= self.min_windows
 
     def dispatch(
-        self, tasks: List[Tuple[int, str, Any]]
+        self, tasks: List[Tuple[int, List[Any]]]
     ) -> List[Tuple[Any, Tuple[int, int, int]]]:
         """Run *tasks* on the pool; one (result, access-delta) per task."""
         assert self._pool is not None, "ShardScatter used before start()"

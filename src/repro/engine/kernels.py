@@ -345,22 +345,21 @@ def eq2_probability(
 ) -> float:
     """Batched Eq. (2): ``sum_i p_i * prod_r (1 - eq3[r, i])``.
 
-    The survival product runs in the given row order (``rows`` restricts
-    and orders it — the ``P − Γ`` evaluations) as one ``multiply.reduce``
-    down the rows, which multiplies the running product by each row in
-    turn: factor for factor the scalar
-    :func:`repro.prsq.probability.probability_from_matrix` loop.  The
-    all-zero rows that loop never sees multiply by an exact ``1.0``
-    here, a floating-point no-op (Lemma 1's irrelevance argument in
-    bit-exact form).
+    The survival product runs row by row in the given order (``rows``
+    restricts and orders it — the ``P − Γ`` evaluations), matching the
+    scalar :func:`repro.prsq.probability.probability_from_matrix` loop
+    factor for factor.  All-zero rows are skipped: they multiply by an
+    exact ``1.0``, a floating-point no-op (Lemma 1's irrelevance argument
+    in bit-exact form).
     """
     center_probabilities = np.asarray(center_probabilities, dtype=np.float64)
-    eq3 = np.asarray(eq3, dtype=np.float64).reshape(
-        -1, center_probabilities.shape[0]
-    )
-    if rows is not None:
-        eq3 = eq3[np.asarray(rows, dtype=np.intp)]
-    survival = np.multiply.reduce(1.0 - eq3, axis=0)
+    eq3 = np.asarray(eq3, dtype=np.float64)
+    survival = np.ones(center_probabilities.shape[0], dtype=np.float64)
+    order = range(eq3.shape[0]) if rows is None else rows
+    for j in order:
+        row = eq3[j]
+        if row.any():
+            survival = survival * (1.0 - row)
     return ordered_dot(center_probabilities, survival)
 
 

@@ -198,9 +198,8 @@ class PackedRTree:
                 next_child += len(node.children)
 
         if payloads:
-            # concatenate + reshape: a quarter of np.stack's per-part cost
-            entry_lo = np.concatenate(lo_parts).reshape(-1, dims)
-            entry_hi = np.concatenate(hi_parts).reshape(-1, dims)
+            entry_lo = np.stack(lo_parts)
+            entry_hi = np.stack(hi_parts)
         else:
             entry_lo = np.empty((0, dims), dtype=np.float64)
             entry_hi = np.empty((0, dims), dtype=np.float64)
@@ -375,6 +374,10 @@ class PackedRTree:
     # ------------------------------------------------------------------
     # grouped traversal core
     # ------------------------------------------------------------------
+    def entry_payloads(self, entries: np.ndarray) -> List[Any]:
+        """Payloads of the entry indices *entries*, in order."""
+        return [self.payloads[e] for e in entries.tolist()]
+
     def group_hits(
         self, lo: np.ndarray, hi: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:

@@ -36,8 +36,9 @@ tree heights — so sharded parity is defined over results, never over
 ``node_accesses``.
 
 An optional scatter pool (:class:`~repro.engine.executor.ShardScatter`)
-fans the per-shard batched calls out across worker processes holding the
-frozen per-shard arrays; results and access deltas merge back here.
+fans the per-shard ``range_search_many`` calls out across worker
+processes holding the frozen per-shard arrays; results and access deltas
+merge back here.
 """
 
 from __future__ import annotations
@@ -70,8 +71,9 @@ class ShardedIndex:
 
     Built fresh (cheaply) by ``ShardedDataset.spatial_index`` on every
     call, so it always wraps the shards' *current* packed/pointer
-    structures.  ``scatter`` is an optional process pool for the batched
-    calls; ``None`` (the default) runs every shard in-process.
+    structures.  ``scatter`` is an optional process pool for
+    ``range_search_many``; ``None`` (the default) runs every shard
+    in-process.
     """
 
     def __init__(self, indexes: Sequence[Any], scatter: Optional[Any] = None):
@@ -82,6 +84,10 @@ class ShardedIndex:
         los, his = zip(*(_root_bounds(index) for index in self.indexes))
         self.shard_lo = np.stack(los)
         self.shard_hi = np.stack(his)
+        #: Global entry index of each shard's first entry (see group_hits).
+        self.entry_bases = np.cumsum(
+            [0] + [index.size for index in self.indexes[:-1]]
+        )
         self.scatter = scatter
 
     # ------------------------------------------------------------------
@@ -177,10 +183,7 @@ class ShardedIndex:
             if selected.size:
                 tasks.append((shard, selected))
         scattered = self._dispatch(
-            [
-                (shard, "many", [windows[i] for i in selected])
-                for shard, selected in tasks
-            ]
+            [(shard, [windows[i] for i in selected]) for shard, selected in tasks]
         )
         if scattered is not None:
             for (shard, selected), per_window in zip(tasks, scattered):
@@ -198,59 +201,32 @@ class ShardedIndex:
     def range_search_any_grouped(
         self, groups: Sequence[Sequence[Rect]]
     ) -> List[List[Any]]:
-        """One ``range_search_any`` answer per window group, per-shard.
+        """One ``range_search_any`` answer per window group (loop reference).
 
-        A shard sees only the (group, window) pairs whose window crosses
-        its root MBR; groups with no surviving window on a shard are
-        skipped there entirely.  Per-group unions concatenate across the
-        disjoint shards and one ``repr`` sort per group restores the
-        canonical order.
+        The batched grouped filter is :meth:`group_hits`, which the PRSQ
+        relevance sets use; this payload form keeps the facade's API
+        equal to the single-shard indexes'.
         """
-        groups = [list(group) for group in groups]
-        results: List[List[Any]] = [[] for _ in groups]
-        flat = [window for group in groups for window in group]
-        if not flat:
-            return results
-        wlo, whi = _stack_windows(flat, self.dims)
-        mask = self._window_mask(wlo, whi)
-        starts = np.zeros(len(groups) + 1, dtype=np.intp)
-        np.cumsum([len(group) for group in groups], out=starts[1:])
-        tasks = []
-        for shard in range(self.shard_count):
-            sub_groups: List[List[Rect]] = []
-            sub_map: List[int] = []
-            row = mask[shard]
-            for g, group in enumerate(groups):
-                selected = np.flatnonzero(row[starts[g] : starts[g + 1]])
-                if selected.size:
-                    sub_groups.append([group[i] for i in selected])
-                    sub_map.append(g)
-            if sub_groups:
-                tasks.append((shard, sub_groups, sub_map))
-        scattered = self._dispatch(
-            [(shard, "grouped", sub_groups) for shard, sub_groups, _ in tasks]
-        )
-        if scattered is not None:
-            for (_shard, _sub, sub_map), per_group in zip(tasks, scattered):
-                for g, part in zip(sub_map, per_group):
-                    results[g].extend(part)
-        else:
-            for shard, sub_groups, sub_map in tasks:
-                per_group = self.indexes[shard].range_search_any_grouped(
-                    sub_groups
-                )
-                for g, part in zip(sub_map, per_group):
-                    results[g].extend(part)
-        return [sorted(part, key=repr) for part in results]
+        return [self.range_search_any(group) for group in groups]
 
     @property
     def payloads(self) -> List[Any]:
         """Every shard's payload table, concatenated in shard order.
 
         The entry space of :meth:`group_hits`: shard ``s``'s entry ``e``
-        is global entry ``e`` plus the entry count of the shards before.
+        is global entry ``entry_bases[s] + e``.  Built on every access;
+        :meth:`entry_payloads` maps a few hits without it.
         """
         return [payload for index in self.indexes for payload in index.payloads]
+
+    def entry_payloads(self, entries: np.ndarray) -> List[Any]:
+        """Payloads of the global entry indices *entries*, in order."""
+        shards = np.searchsorted(self.entry_bases, entries, side="right") - 1
+        local = entries - self.entry_bases[shards]
+        return [
+            self.indexes[shard].payloads[entry]
+            for shard, entry in zip(shards.tolist(), local.tolist())
+        ]
 
     def group_hits(
         self, lo: np.ndarray, hi: np.ndarray
@@ -258,11 +234,11 @@ class ShardedIndex:
         """``PackedRTree.group_hits`` scattered per shard, gathered by concat.
 
         A shard traverses only the windows crossing its root MBR (the
-        others become NaN padding) and only the groups left with one, the
-        pruning of :meth:`range_search_any_grouped`.  The shards are
-        disjoint, so the concatenated ``(group, entry)`` pairs are exactly
-        the unsharded hits, in shard-major order; callers sort them.
-        Always in-process: the scatter pool serves the payload calls only.
+        others become NaN padding) and only the groups left with one.
+        The shards are disjoint, so the concatenated ``(group, entry)``
+        pairs, entries offset by :attr:`entry_bases`, are exactly the
+        unsharded hits, in shard-major order; callers sort them.  Always
+        in-process.
         """
         n_groups, width, dims = lo.shape
         flat_lo = lo.reshape(-1, dims)
@@ -273,7 +249,6 @@ class ShardedIndex:
             crossing[:, real] = self._window_mask(flat_lo[real], flat_hi[real])
         groups: List[np.ndarray] = [np.empty(0, dtype=np.intp)]
         entries: List[np.ndarray] = [np.empty(0, dtype=np.intp)]
-        base = 0
         for shard, index in enumerate(self.indexes):
             keep = crossing[shard].reshape(n_groups, width)
             alive = np.flatnonzero(keep.any(axis=1))
@@ -284,13 +259,12 @@ class ShardedIndex:
                     np.where(slots, hi[alive], np.nan),
                 )
                 groups.append(alive[shard_groups])
-                entries.append(shard_entries + base)
-            base += len(index.payloads)
+                entries.append(shard_entries + self.entry_bases[shard])
         return np.concatenate(groups), np.concatenate(entries)
 
     # ------------------------------------------------------------------
     def _dispatch(
-        self, tasks: List[Tuple[int, str, Any]]
+        self, tasks: List[Tuple[int, List[Rect]]]
     ) -> Optional[List[Any]]:
         """Fan *tasks* out through the scatter pool, or ``None`` for serial.
 
@@ -304,7 +278,7 @@ class ShardedIndex:
         obs.registry().counter("shard.filter.scatter_tasks").inc(len(tasks))
         parts = scatter.dispatch(tasks)
         results = []
-        for (shard, _kind, _arg), (result, access) in zip(tasks, parts):
+        for (shard, _windows), (result, access) in zip(tasks, parts):
             stats = self.indexes[shard].stats
             stats.queries += access[0]
             stats.node_accesses += access[1]

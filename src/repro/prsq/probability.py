@@ -157,12 +157,16 @@ def reverse_skyline_probability(
         use_numpy=use_numpy,
     )
     if resolve_use_numpy(use_numpy):
-        tensor = dataset.tensor
-        probabilities = eq2_segmented(
-            tensor.samples, tensor.probabilities, tensor.mask,
-            [dataset.index_of(oid)], [0, len(indices)], indices, qq,
+        # Only the center's row and its relevant rows: the kernel copies
+        # what it is given into slot-major order, O(|relevant|), not O(n).
+        samples, probabilities, mask = dataset.tensor.rows(
+            [dataset.index_of(oid)] + indices
         )
-        return float(probabilities[0])
+        value = eq2_segmented(
+            samples, probabilities, mask,
+            [0], [0, len(indices)], np.arange(1, len(indices) + 1), qq,
+        )
+        return float(value[0])
     objects = dataset.objects()
     matrix = dominance_probability_matrix(
         target, (objects[i] for i in indices), qq

@@ -39,11 +39,7 @@ from repro.exceptions import EmptyDatasetError
 from repro.geometry.point import PointLike, as_point_matrix
 from repro.geometry.rectangle import Rect
 from repro.index.bulk import bulk_load
-from repro.index.packed import (
-    GROUP_WINDOW_CHUNK,
-    PackedRTree,
-    pack_window_groups,
-)
+from repro.index.packed import PackedRTree, pack_window_groups
 from repro.index.rtree import DEFAULT_PAGE_SIZE, RTree
 from repro.index.stats import AccessStats
 from repro.uncertain.delta import DatasetDelta
@@ -216,37 +212,26 @@ class UncertainDataset:
 
         Ascending positions are the canonical Eq. (2) product order the
         bit-parity contracts depend on.  The packed index answers in
-        entry indices, which map to positions through one array; one sort
-        of ``(group, position)`` keys per block of groups then orders
-        every group of the block at once, for one index or for the
-        concatenated hits of k shards.  Blocks keep the scratch to one
-        block's hits.
+        entry indices: a batch maps them to positions through a table of
+        every entry's position, a lone group (a one-object filter) maps
+        only its own hits.  One sort of ``(group, position)`` keys then
+        orders every group at once, for one index or for the
+        concatenated hits of k shards.
         """
         index = self.spatial_index(True)
-        payloads = index.payloads
-        n_groups, n = lo.shape[0], len(self._objects)
-        # A batch maps its hits through a table of every entry's position;
-        # a lone group maps only its own hits.
-        table = self._position_table(payloads) if n_groups > 1 else None
+        groups, entries = index.group_hits(lo, hi)
+        if lo.shape[0] > 1:
+            positions = self._positions(index.payloads)[entries]
+        else:
+            positions = self._positions(index.entry_payloads(entries))
         if exclude is not None:
-            exclude = np.asarray(exclude, dtype=np.intp)
-        per_block = max(1, GROUP_WINDOW_CHUNK // max(1, lo.shape[1]))
-        counts: List[np.ndarray] = [np.zeros(1, dtype=np.intp)]
-        rows: List[np.ndarray] = [np.empty(0, dtype=np.intp)]
-        for start in range(0, n_groups, per_block):
-            stop = min(start + per_block, n_groups)
-            groups, entries = index.group_hits(lo[start:stop], hi[start:stop])
-            if table is None:
-                positions = self._hit_positions(payloads, entries)
-            else:
-                positions = table[entries]
-            if exclude is not None:
-                keep = positions != exclude[start:stop][groups]
-                groups, positions = groups[keep], positions[keep]
-            keys = np.sort(groups * n + positions)
-            counts.append(np.bincount(keys // n, minlength=stop - start))
-            rows.append(keys % n)
-        return np.cumsum(np.concatenate(counts)), np.concatenate(rows)
+            keep = positions != np.asarray(exclude, dtype=np.intp)[groups]
+            groups, positions = groups[keep], positions[keep]
+        n = len(self._objects)
+        keys = np.sort(groups * n + positions)
+        offsets = np.zeros(lo.shape[0] + 1, dtype=np.intp)
+        np.cumsum(np.bincount(keys // n, minlength=lo.shape[0]), out=offsets[1:])
+        return offsets, keys % n
 
     def window_positions(
         self,
@@ -271,22 +256,12 @@ class UncertainDataset:
         positions = sorted(self._index_of[oid] for oid in hits)
         return np.array([p for p in positions if p != exclude], dtype=np.intp)
 
-    def _position_table(self, payloads: Sequence[Hashable]) -> np.ndarray:
-        """Dataset position of every index entry (its payload is an id)."""
+    def _positions(self, oids: Sequence[Hashable]) -> np.ndarray:
+        """Dataset positions of index payloads (object ids), in order."""
         return np.fromiter(
-            (self._index_of[oid] for oid in payloads),
+            (self._index_of[oid] for oid in oids),
             dtype=np.intp,
-            count=len(payloads),
-        )
-
-    def _hit_positions(
-        self, payloads: Sequence[Hashable], entries: np.ndarray
-    ) -> np.ndarray:
-        """Dataset positions of the index entries *entries* only."""
-        return np.fromiter(
-            (self._index_of[payloads[e]] for e in entries.tolist()),
-            dtype=np.intp,
-            count=entries.size,
+            count=len(oids),
         )
 
     def content_digest(self) -> str:

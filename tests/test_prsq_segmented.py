@@ -29,6 +29,7 @@ from repro.index.packed import pack_window_groups
 from repro.prsq.probability import (
     dominance_probability_matrix,
     probability_from_matrix,
+    relevant_indices,
     reverse_skyline_probability,
 )
 from repro.prsq.query import ProbabilityMap, prsq_probability_map
@@ -157,14 +158,16 @@ class TestRelevanceSets:
         np.testing.assert_array_equal(got[1], expected[1])
         assert wide.node_accesses == narrow.node_accesses
 
+    @pytest.mark.parametrize("shards", [1, 3])
     @pytest.mark.parametrize("use_numpy", [True, False])
-    def test_window_positions_excludes_and_sorts(self, rng, use_numpy):
-        dataset = make_uncertain_dataset(rng, 30)
+    def test_window_positions_excludes_and_sorts(self, rng, use_numpy, shards):
+        base = make_uncertain_dataset(rng, 30)
+        dataset = base if shards == 1 else shard_dataset(base, shards)
         windows = _windows_per_object(dataset, [5.0, 5.0])[4]
         got = dataset.window_positions(windows, exclude=4, use_numpy=use_numpy)
-        hits = dataset.rtree.range_search_any(windows)
+        hits = base.rtree.range_search_any(windows)
         assert got.tolist() == sorted(
-            dataset.index_of(oid) for oid in hits if oid != 4
+            base.index_of(oid) for oid in hits if oid != 4
         )
 
 
@@ -246,23 +249,26 @@ class TestSegmentedEq2:
             p = dataset.objects()[center].probabilities
             assert whole[center] == kernels.ordered_dot(p, np.ones(p.size))
 
-    def test_eq2_probability_reduce_matches_row_loop(self):
-        rng = np.random.default_rng(3)
-        eq3 = rng.uniform(0.0, 1.0, size=(300, 4))
-        eq3[::7] = 0.0  # all-zero rows: x 1.0 no-ops
-        p = rng.dirichlet(np.ones(4))
-        survival = np.ones(4)
-        for row in eq3:
-            survival = survival * (1.0 - row)
-        expected = kernels.ordered_dot(p, survival)
-        assert kernels.eq2_probability(p, eq3).hex() == expected.hex()
-        rows = list(range(299, -1, -3))
-        survival = np.ones(4)
-        for row in rows:
-            survival = survival * (1.0 - eq3[row])
-        assert kernels.eq2_probability(p, eq3, rows=rows).hex() == (
-            kernels.ordered_dot(p, survival).hex()
-        )
+    @pytest.mark.parametrize("use_index", [True, False])
+    def test_one_object_path_matches_whole_tensor(self, rng, use_index):
+        # reverse_skyline_probability gathers the center and its relevant
+        # rows first; the bits must equal the kernel over the whole tensor
+        dataset = make_uncertain_dataset(rng, 30, max_samples=4)
+        q = rng.uniform(0.0, 10.0, size=2)
+        tensor = dataset.tensor
+        excluded = dataset.ids()[3:6]
+        for oid in dataset.ids():
+            rows = relevant_indices(
+                dataset, oid, q, use_index=use_index, exclude=excluded
+            )
+            whole = kernels.eq2_segmented(
+                tensor.samples, tensor.probabilities, tensor.mask,
+                [dataset.index_of(oid)], [0, len(rows)], rows, q,
+            )
+            got = reverse_skyline_probability(
+                dataset, oid, q, use_index=use_index, exclude=excluded
+            )
+            assert got.hex() == float(whole[0]).hex()
 
 
 class TestBatchedPRSQ:
