@@ -34,6 +34,21 @@ def fanout_for_page(page_size: int, dims: int) -> int:
     return max(4, page_size // entry_bytes)
 
 
+def _entry_index(leaf: Node, rect: Rect, payload: Any) -> int:
+    """Position of the ``(rect, payload)`` entry in *leaf*, or -1.
+
+    The match ``(rect, payload) in leaf.entries`` tests, identity
+    shortcuts included, but payloads first: a payload match is rare and
+    cheap to test, while every ``Rect`` comparison is an array comparison.
+    """
+    for i, (entry_rect, entry_payload) in enumerate(leaf.entries):
+        if (entry_payload is payload or entry_payload == payload) and (
+            entry_rect is rect or entry_rect == rect
+        ):
+            return i
+    return -1
+
+
 class RTree:
     """R-tree over ``(Rect, payload)`` entries.
 
@@ -124,7 +139,7 @@ class RTree:
         leaf = self._find_leaf(self.root, rect, payload)
         if leaf is None:
             return False
-        leaf.entries.remove((rect, payload))
+        del leaf.entries[_entry_index(leaf, rect, payload)]
         self.size -= 1
         self._condense(leaf)
         while not self.root.is_leaf and len(self.root.children) == 1:
@@ -136,7 +151,7 @@ class RTree:
 
     def _find_leaf(self, node: Node, rect: Rect, payload: Any) -> Optional[Node]:
         if node.is_leaf:
-            return node if (rect, payload) in node.entries else None
+            return node if _entry_index(node, rect, payload) >= 0 else None
         for child in node.children:
             if child.mbr is not None and child.mbr.contains_rect(rect):
                 found = self._find_leaf(child, rect, payload)
