@@ -29,11 +29,11 @@ SCHEMA_VERSION = 2
 
 
 def _encode_ids(ids: Tuple[Hashable, ...]) -> List[Any]:
-    return wire.encode_value(list(ids))
+    return [wire.encode_value(v) for v in ids]
 
 
 def _decode_ids(items: List[Any]) -> Tuple[Hashable, ...]:
-    return tuple(wire.decode_value(list(items)))
+    return tuple(wire.decode_value(v) for v in items)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ instead of re-running the O(n log n) bulk load.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,6 +96,19 @@ def pack_window_groups(
                 windows, dims
             )
     return lo, hi
+
+
+def group_blocks(n_groups: int, width: int) -> Iterator[Tuple[int, int]]:
+    """``(start, stop)`` ranges of window groups traversed together.
+
+    A block holds at most ``GROUP_WINDOW_CHUNK`` windows, padding slots
+    included, so the (windows, frontier) intersection scratch stays
+    small; a caller that consumes hits block by block also keeps only
+    one block's hits as scratch.
+    """
+    per_block = max(1, GROUP_WINDOW_CHUNK // max(1, width))
+    for start in range(0, n_groups, per_block):
+        yield start, min(start + per_block, n_groups)
 
 
 def _split_groups(
@@ -400,12 +413,11 @@ class PackedRTree:
         """
         n_groups, width = lo.shape[0], lo.shape[1]
         self.stats.queries += n_groups
-        per_block = max(1, GROUP_WINDOW_CHUNK // max(1, width))
         groups: List[np.ndarray] = [np.empty(0, dtype=np.intp)]
         entries: List[np.ndarray] = [np.empty(0, dtype=np.intp)]
-        for start in range(0, n_groups, per_block):
+        for start, stop in group_blocks(n_groups, width):
             block_groups, block_entries = self._block_hits(
-                lo[start : start + per_block], hi[start : start + per_block]
+                lo[start:stop], hi[start:stop]
             )
             groups.append(block_groups + start)
             entries.append(block_entries)

@@ -39,7 +39,7 @@ from repro.exceptions import EmptyDatasetError
 from repro.geometry.point import PointLike, as_point_matrix
 from repro.geometry.rectangle import Rect
 from repro.index.bulk import bulk_load
-from repro.index.packed import PackedRTree, pack_window_groups
+from repro.index.packed import PackedRTree, group_blocks, pack_window_groups
 from repro.index.rtree import DEFAULT_PAGE_SIZE, RTree
 from repro.index.stats import AccessStats
 from repro.uncertain.delta import DatasetDelta
@@ -214,24 +214,32 @@ class UncertainDataset:
         bit-parity contracts depend on.  The packed index answers in
         entry indices: a batch maps them to positions through a table of
         every entry's position, a lone group (a one-object filter) maps
-        only its own hits.  One sort of ``(group, position)`` keys then
-        orders every group at once, for one index or for the
-        concatenated hits of k shards.
+        only its own hits.  Per block of groups the index traverses
+        together (:func:`~repro.index.packed.group_blocks`), one sort of
+        ``(group, position)`` keys then orders every group of the block,
+        for one index or for the concatenated hits of k shards, so the
+        scratch is one block's hits.
         """
         index = self.spatial_index(True)
-        groups, entries = index.group_hits(lo, hi)
-        if lo.shape[0] > 1:
-            positions = self._positions(index.payloads)[entries]
-        else:
-            positions = self._positions(index.entry_payloads(entries))
+        n_groups, n = lo.shape[0], len(self._objects)
+        table = self._positions(index.payloads) if n_groups > 1 else None
         if exclude is not None:
-            keep = positions != np.asarray(exclude, dtype=np.intp)[groups]
-            groups, positions = groups[keep], positions[keep]
-        n = len(self._objects)
-        keys = np.sort(groups * n + positions)
-        offsets = np.zeros(lo.shape[0] + 1, dtype=np.intp)
-        np.cumsum(np.bincount(keys // n, minlength=lo.shape[0]), out=offsets[1:])
-        return offsets, keys % n
+            exclude = np.asarray(exclude, dtype=np.intp)
+        counts: List[np.ndarray] = [np.zeros(1, dtype=np.intp)]
+        rows: List[np.ndarray] = [np.empty(0, dtype=np.intp)]
+        for start, stop in group_blocks(n_groups, lo.shape[1]):
+            groups, entries = index.group_hits(lo[start:stop], hi[start:stop])
+            if table is None:
+                positions = self._positions(index.entry_payloads(entries))
+            else:
+                positions = table[entries]
+            if exclude is not None:
+                keep = positions != exclude[start:stop][groups]
+                groups, positions = groups[keep], positions[keep]
+            keys = np.sort(groups * n + positions)
+            counts.append(np.bincount(keys // n, minlength=stop - start))
+            rows.append(keys % n)
+        return np.cumsum(np.concatenate(counts)), np.concatenate(rows)
 
     def window_positions(
         self,
