@@ -172,9 +172,8 @@ class ShardedIndex:
         unsharded call; within a window, hits arrive shard-major.
         """
         windows = list(windows)
-        results: List[List[Any]] = [[] for _ in windows]
         if not windows:
-            return results
+            return []
         wlo, whi = _stack_windows(windows, self.dims)
         mask = self._window_mask(wlo, whi)
         tasks = []
@@ -185,18 +184,24 @@ class ShardedIndex:
         scattered = self._dispatch(
             [(shard, [windows[i] for i in selected]) for shard, selected in tasks]
         )
-        if scattered is not None:
-            for (shard, selected), per_window in zip(tasks, scattered):
-                for i, hits in zip(selected, per_window):
+        if scattered is None:
+            scattered = [
+                self.indexes[shard].range_search_many(
+                    [windows[i] for i in selected]
+                )
+                for shard, selected in tasks
+            ]
+        # Every shard answers with fresh lists, so a window adopts its
+        # first one instead of copying it, and no list is built only to
+        # be replaced.
+        results: List[Optional[List[Any]]] = [None] * len(windows)
+        for (_shard, selected), per_window in zip(tasks, scattered):
+            for i, hits in zip(selected.tolist(), per_window):
+                if results[i] is None:
+                    results[i] = hits
+                else:
                     results[i].extend(hits)
-            return results
-        for shard, selected in tasks:
-            per_window = self.indexes[shard].range_search_many(
-                [windows[i] for i in selected]
-            )
-            for i, hits in zip(selected, per_window):
-                results[i].extend(hits)
-        return results
+        return [[] if hits is None else hits for hits in results]
 
     def range_search_any_grouped(
         self, groups: Sequence[Sequence[Rect]]
