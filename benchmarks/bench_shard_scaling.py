@@ -23,8 +23,7 @@ Three properties are asserted (single-process, one core — the speedup is
   ``--max-overhead`` (default 10%) of the plain unsharded index on every
   workload (the facade must be free when it degenerates);
 * **bit parity** — per-window hit sets identical to the unsharded index
-  for every (n, k, family) cell, and a :class:`ShardScatter` pool run at
-  the small n must reproduce them again through worker processes.
+  for every (n, k, family) cell.
 
 Emits a machine-readable ``BENCH_shard_scaling.json`` (``--json``) so CI
 records the scaling trajectory.  Runs standalone:
@@ -43,7 +42,6 @@ import numpy as np
 
 from repro.bench.reporting import format_table, write_json_report
 from repro.datasets.synthetic_certain import generate_certain_dataset
-from repro.engine import ShardScatter
 from repro.geometry.dominance import dominance_rectangle
 from repro.geometry.rectangle import Rect
 from repro.uncertain import shard_dataset
@@ -153,7 +151,7 @@ def bench(
             sharded = shard_dataset(
                 generate_certain_dataset(n, 2, seed=seed), k
             )
-            indexes[k] = sharded.spatial_index(True)
+            indexes[k] = sharded.spatial_index()
         for family, window_list in w.items():
             timed = _timed_round_robin(indexes, window_list, repeats)
             plain_s = timed["plain"]["seconds"]
@@ -190,18 +188,6 @@ def bench(
                 )
                 for family, window_list in w.items()
             }
-
-    # scatter-pool parity at the small scale (correctness, never speed:
-    # worker fan-out on a single core only adds IPC)
-    small = min(sizes)
-    sharded = shard_dataset(generate_certain_dataset(small, 2, seed=seed), 4)
-    local = _local_windows(sharded.points, min(windows, 128), rng)
-    expected = _hit_ids(sharded.spatial_index(True).range_search_many(local))
-    with ShardScatter(sharded, workers=2, min_windows=1):
-        scattered = _hit_ids(
-            sharded.spatial_index(True).range_search_many(local)
-        )
-    assert scattered == expected, "ShardScatter hit sets diverge"
 
     if json_path:
         write_json_report(
@@ -271,10 +257,7 @@ def main(argv=None) -> None:
         json_path=args.json,
     )
     print(format_table(rows))
-    print(
-        "bench_shard_scaling: bit-identical hit sets across all cells; "
-        "scatter-pool parity verified"
-    )
+    print("bench_shard_scaling: bit-identical hit sets across all cells")
 
 
 if __name__ == "__main__":

@@ -44,9 +44,9 @@ def uncertain_tour() -> None:
             f"{outcome.elapsed_s * 1e3:.1f} ms)"
         )
 
-    non_answers = session.execute(
+    non_answers = session.query(
         PRSQSpec(q=q, alpha=0.5, want="non_answers")
-    ).value
+    ).to_raw()
     explain = [CausalitySpec(an=an, q=q, alpha=0.5) for an in non_answers[:4]]
     for outcome in session.execute_batch(explain):
         result = outcome.value
@@ -81,8 +81,8 @@ def certain_tour() -> None:
     q = (5000.0, 5000.0)
 
     print("\n== certain session:", session)
-    skyline = session.execute(ReverseSkylineSpec(q=q)).value
-    skyband = session.execute(ReverseKSkybandSpec(q=q, k=3)).value
+    skyline = session.query(ReverseSkylineSpec(q=q)).to_raw()
+    skyband = session.query(ReverseKSkybandSpec(q=q, k=3)).to_raw()
     print(f"  reverse skyline: {len(skyline)} objects; "
           f"reverse 3-skyband: {len(skyband)} objects")
 
@@ -94,17 +94,17 @@ def certain_tour() -> None:
         user_ids=("perf-first", "balanced", "econ-first"),
     )
     print(f"  reverse top-10 users of launch product {launch}: "
-          f"{session.execute(users).value}")
+          f"{session.query(users).to_raw()}")
 
     explained = 0
     for oid in dataset.ids():
         if oid in skyline or explained >= 2:
             continue
         try:
-            causality = session.execute(CausalityCertainSpec(an=oid, q=q)).value
-            skyband_c = session.execute(
+            causality = session.query(CausalityCertainSpec(an=oid, q=q)).to_raw()
+            skyband_c = session.query(
                 KSkybandCausalitySpec(an=oid, q=q, k=2)
-            ).value
+            ).to_raw()
         except NotANonAnswerError:
             continue
         print(

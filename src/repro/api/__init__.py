@@ -13,9 +13,6 @@ Three pillars:
 * :func:`~repro.api.client.connect` — the fluent
   :class:`~repro.api.client.Client` facade with per-family methods and a
   batch builder whose ``.stream()`` yields envelopes incrementally.
-
-Legacy ``Session.run``/``Session.execute`` keep working through
-deprecation shims; new code should go through this package.
 """
 
 from repro.api import families as _families  # noqa: F401 - registers builtins

@@ -62,8 +62,8 @@ def connect(
 
     *dataset* may be an in-memory dataset or a CSV path (``dataset_kind``
     selects the ``uncertain`` long format or the ``certain`` wide format).
-    Keyword arguments (``cache_size``, ``use_numpy``, ``cache``,
-    ``build_index``, ``shards``) pass through to the underlying
+    Keyword arguments (``cache_size``, ``cache``, ``build_index``,
+    ``shards``) pass through to the underlying
     :class:`~repro.engine.session.Session`; ``shards=k`` STR-partitions
     the dataset into k spatial shards with bit-identical results.
 

@@ -10,10 +10,9 @@ time, node accesses) and — for failed batch entries — a machine-actionable
 Envelopes are value objects: ``QueryResult.from_dict(env.to_dict()) ==
 env`` holds exactly, including through a real JSON serialization (the
 tagged :mod:`repro.api.wire` encoding preserves tuple ids, frozensets and
-non-string dict keys).  ``to_raw()`` recovers the legacy payload shape
-(the list / dict / :class:`~repro.core.model.CausalityResult` that
-``Session.run`` used to return), which is what keeps the deprecation shims
-honest.
+non-string dict keys).  ``to_raw()`` recovers the plain payload shape
+(the list / dict / :class:`~repro.core.model.CausalityResult` the engine
+computes).
 """
 
 from __future__ import annotations

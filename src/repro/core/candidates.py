@@ -9,7 +9,7 @@ multi-window R-tree scan followed by an exact per-sample confirmation.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional, Sequence
+from typing import Hashable, List, Sequence
 
 import numpy as np
 
@@ -47,7 +47,6 @@ def find_candidate_causes(
     q: PointLike,
     use_index: bool = True,
     windows: Sequence[Rect] | None = None,
-    use_numpy: Optional[bool] = None,
 ) -> List[Hashable]:
     """Candidate cause ids for the non-answer *an_oid* (filter step of CP).
 
@@ -56,20 +55,19 @@ def find_candidate_causes(
     use_index:
         When true (the CP configuration), traverse the dataset R-tree in a
         branch-and-bound manner over the rectangle list (Algorithm 1 lines
-        1-8).  When false, linearly scan the dataset — the ablation baseline
-        with :math:`O(|P|^2)` filtering cost discussed under Lemma 1.
+        1-8) with the packed level-frontier kernels
+        (:class:`repro.index.packed.PackedRTree`).  When false, linearly
+        scan the dataset — the ablation baseline with :math:`O(|P|^2)`
+        filtering cost discussed under Lemma 1.
     windows:
         Override the rectangle list (the pdf model supplies region-derived
         rectangles instead of per-sample ones).
-    use_numpy:
-        Run the filter through the packed level-frontier traversal
-        (:class:`repro.index.packed.PackedRTree`) and confirm the
-        survivors with one batched Lemma-1 kernel call
-        (:func:`repro.engine.kernels.influence_mask`) instead of the
-        pointer tree and the per-object scalar loop; the confirmed set
-        and the node-access accounting are identical either way.
+
+    The survivors are confirmed with one batched Lemma-1 kernel call
+    (:func:`repro.engine.kernels.influence_mask`), boolean-exact against
+    the per-object :func:`can_influence` reference.
     """
-    from repro.engine.kernels import influence_mask, resolve_use_numpy
+    from repro.engine.kernels import influence_mask
 
     an = dataset.get(an_oid)
     qq = as_point(q, dims=dataset.dims)
@@ -78,10 +76,10 @@ def find_candidate_causes(
     windows = list(windows)
 
     if use_index:
-        # Ascending dataset positions on both the packed and the pointer
-        # path, so traversal order can never leak into result bits.
+        # Ascending dataset positions, so traversal order can never leak
+        # into result bits.
         pool_indices = dataset.window_positions(
-            windows, exclude=dataset.index_of(an_oid), use_numpy=use_numpy
+            windows, exclude=dataset.index_of(an_oid)
         )
         # Sample-level Lemma-2 pre-confirm of the MBR-level R-tree hits:
         # it cannot change the confirmed set (the rectangles are a complete
@@ -97,16 +95,13 @@ def find_candidate_causes(
         # free of any pruning so use_index on/off comparisons stay honest.
         pool = dataset.others(an_oid)
 
-    if resolve_use_numpy(use_numpy) and pool:
-        tensor = dataset.tensor
-        indices = [tensor.index_of[obj.oid] for obj in pool]
-        samples, _, mask = tensor.rows(indices)
-        influencing = influence_mask(
-            an.samples, samples, mask, qq, use_numpy=True
-        )
-        confirmed = [obj.oid for obj, hit in zip(pool, influencing) if hit]
-    else:
-        confirmed = [obj.oid for obj in pool if can_influence(obj, an, qq)]
+    if not pool:
+        return []
+    tensor = dataset.tensor
+    indices = [tensor.index_of[obj.oid] for obj in pool]
+    samples, _, mask = tensor.rows(indices)
+    influencing = influence_mask(an.samples, samples, mask, qq)
+    confirmed = [obj.oid for obj, hit in zip(pool, influencing) if hit]
     return sorted(confirmed, key=repr)
 
 

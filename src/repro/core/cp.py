@@ -27,7 +27,7 @@ import numpy as np
 from repro.core.candidates import find_candidate_causes
 from repro.core.fmcs import find_minimal_contingency_set
 from repro.core.lemmas import lemma6_propagate
-from repro.core.model import Cause, CauseKind, CausalityResult, RunStats
+from repro.core.model import Cause, CauseKind, CausalityResult
 from repro.geometry.point import PointLike, as_point
 from repro.obs import span as _span
 from repro.geometry.rectangle import Rect
@@ -60,7 +60,6 @@ def compute_causality(
     alpha: float,
     config: CPConfig = CPConfig(),
     windows: Optional[Sequence[Rect]] = None,
-    use_numpy: Optional[bool] = None,
 ) -> CausalityResult:
     """Run algorithm CP for the non-answer *an_oid*.
 
@@ -79,11 +78,6 @@ def compute_causality(
     windows:
         Optional override of the filter rectangles (used by the pdf-model
         front-end); defaults to the discrete per-sample rectangles.
-    use_numpy:
-        Evaluate the Lemma-1 confirmation and the oracle's Eq. (3) matrix
-        through the tensorized kernels (default) or the scalar reference
-        loops; both paths are bit-compatible, so the causality output is
-        identical either way.
 
     Returns
     -------
@@ -110,13 +104,11 @@ def compute_causality(
                 qq,
                 use_index=config.use_index,
                 windows=windows,
-                use_numpy=use_numpy,
             )
             filter_span.set(candidates=len(candidate_ids))
         with _span("refine", alpha=alpha) as refine_span:
             oracle = MembershipOracle(
-                dataset, an_oid, qq, alpha, relevant_ids=candidate_ids,
-                use_numpy=use_numpy,
+                dataset, an_oid, qq, alpha, relevant_ids=candidate_ids
             )
             oracle.validate_non_answer()
             result = _refine(oracle, config)
@@ -240,7 +232,6 @@ def compute_causality_pdf(
     samples_per_object: int = 64,
     rng: Optional[np.random.Generator] = None,
     config: CPConfig = CPConfig(),
-    use_numpy: Optional[bool] = None,
 ) -> Tuple[CausalityResult, UncertainDataset]:
     """CP under the continuous pdf model (Section 3.2).
 
@@ -261,7 +252,6 @@ def compute_causality_pdf(
     )
     windows = by_id[an_oid].filter_rectangles(q)
     result = compute_causality(
-        dataset, an_oid, q, alpha, config=config, windows=windows,
-        use_numpy=use_numpy,
+        dataset, an_oid, q, alpha, config=config, windows=windows
     )
     return result, dataset

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from typing import Hashable, List, Optional
+from typing import Hashable, List
 
 import numpy as np
 
@@ -30,13 +30,11 @@ def confirm_dominators(
     an_oid: Hashable,
     qq: np.ndarray,
     an_point: np.ndarray,
-    use_numpy: Optional[bool],
 ) -> List[Hashable]:
     """Window-query hits that really dominate ``q`` w.r.t. the non-answer.
 
     One batched :func:`repro.engine.kernels.dominance_mask` call over the
-    stacked hit points (or the scalar per-point loop — boolean-exact
-    either way), sorted for deterministic output.
+    stacked hit points, sorted for deterministic output.
     """
     from repro.engine.kernels import dominance_mask
 
@@ -44,7 +42,7 @@ def confirm_dominators(
     if not pool:
         return []
     points = np.stack([dataset.point_of(oid) for oid in pool])
-    dominating = dominance_mask(points, qq, an_point, use_numpy=use_numpy)
+    dominating = dominance_mask(points, qq, an_point)
     return sorted(
         (oid for oid, hit in zip(pool, dominating) if hit), key=repr
     )
@@ -55,7 +53,6 @@ def compute_causality_certain(
     an_oid: Hashable,
     q: PointLike,
     use_index: bool = True,
-    use_numpy: Optional[bool] = None,
 ) -> CausalityResult:
     """Run algorithm CR for the non-reverse-skyline object *an_oid*.
 
@@ -65,10 +62,6 @@ def compute_causality_certain(
         When true, collect candidates with one R-tree window query
         (algorithm CR); when false, linearly scan the dataset (the filter
         half of Naive-II).
-    use_numpy:
-        Packed window-query traversal plus the batched dominance
-        confirmation kernel vs. the pointer tree and the scalar per-point
-        loop; identical candidates and node accesses either way.
 
     Raises
     ------
@@ -85,11 +78,11 @@ def compute_causality_certain(
     with access_ctx as snapshot:
         with _span("filter", use_index=use_index) as filter_span:
             if use_index:
-                hits = dataset.spatial_index(use_numpy).range_search(window)
+                hits = dataset.spatial_index().range_search(window)
             else:
                 hits = dataset.ids()
             candidates = confirm_dominators(
-                dataset, list(hits), an_oid, qq, an_point, use_numpy
+                dataset, list(hits), an_oid, qq, an_point
             )
             filter_span.set(hits=len(hits), candidates=len(candidates))
 

@@ -25,7 +25,10 @@ from repro.exceptions import NotANonAnswerError
 from repro.geometry.dominance import dominance_rectangle
 from repro.geometry.point import PointLike, as_point
 from repro.obs import span as _span
-from repro.prsq.probability import reverse_skyline_probability
+from repro.prsq.probability import (
+    dominance_probability_matrix,
+    probability_from_matrix,
+)
 from repro.uncertain.dataset import CertainDataset, UncertainDataset
 
 MAX_NAIVE_CANDIDATES = 24
@@ -49,7 +52,6 @@ def naive_ii(
     q: PointLike,
     use_index: bool = True,
     max_candidates: int = MAX_NAIVE_CANDIDATES,
-    use_numpy: Optional[bool] = None,
 ) -> CausalityResult:
     """Naive-II: window-query filter + per-candidate subset verification.
 
@@ -66,12 +68,12 @@ def naive_ii(
     with access_ctx as snapshot:
         with _span("filter", use_index=use_index) as filter_span:
             hits = (
-                dataset.spatial_index(use_numpy).range_search(window)
+                dataset.spatial_index().range_search(window)
                 if use_index
                 else dataset.ids()
             )
             candidates = confirm_dominators(
-                dataset, list(hits), an_oid, qq, an_point, use_numpy
+                dataset, list(hits), an_oid, qq, an_point
             )
             filter_span.set(candidates=len(candidates))
 
@@ -140,9 +142,11 @@ def brute_force_causality(
 ) -> CausalityResult:
     """Definition 1 applied literally: enumerate all ``Γ ⊆ P``.
 
-    Probabilities are evaluated analytically (Eq. (2)) without any index or
-    lemma, so this shares *no* optimized code path with CP — it is the
-    independent ground truth the test suite compares CP and Naive-I against.
+    Probabilities are evaluated analytically (Eq. (2)) by the scalar
+    reference helpers of :mod:`repro.prsq.probability`, without any index,
+    lemma or tensor kernel, so this shares *no* optimized code path with
+    CP — it is the independent ground truth the test suite compares CP and
+    Naive-I against.
     Certain datasets work unchanged (alpha is then irrelevant as
     probabilities are 0/1; pass any threshold in ``(0, 1]``).
     """
@@ -152,14 +156,17 @@ def brute_force_causality(
             f"2^{len(dataset) - 1} subsets per object; cap is {max_objects}"
         )
     qq = as_point(q, dims=dataset.dims)
+    target = dataset.get(an_oid)
 
     def pr_without(removed: frozenset) -> float:
-        # Pinned to the scalar reference path: the brute force stays an
-        # independent ground truth sharing no optimized kernel with CP.
-        return reverse_skyline_probability(
-            dataset, an_oid, qq, use_index=False, exclude=removed,
-            use_numpy=False,
-        )
+        # Every other object outside Γ, in dataset order: the canonical
+        # Eq. (2) product order the optimized paths also use.
+        others = [
+            obj for obj in dataset
+            if obj.oid != an_oid and obj.oid not in removed
+        ]
+        matrix = dominance_probability_matrix(target, others, qq)
+        return probability_from_matrix(target, matrix)
 
     if pr_without(frozenset()) >= alpha:
         raise NotANonAnswerError(f"object {an_oid!r} is an answer at alpha={alpha}")

@@ -9,22 +9,19 @@ algorithms:
   the full query zoo (CP/CR/pdf causality, PRSQ, reverse skyline,
   reverse k-skyband, reverse top-k);
 * :mod:`~repro.engine.plan` — compiles specs into executable plans,
-  choosing between vectorized kernels and scalar paths;
+  choosing between the dense broadcast kernels and the packed-index
+  window paths;
 * :mod:`~repro.engine.executor` — serial and multiprocess batch
   execution with deterministic result ordering;
 * :mod:`~repro.engine.cache` — LRU result/probability cache keyed by
   dataset fingerprint, query identity and threshold;
-* :mod:`~repro.engine.kernels` — NumPy-vectorized dominance and
-  candidate-pruning kernels, bit-compatible with the scalar fallbacks.
+* :mod:`~repro.engine.kernels` — NumPy-vectorized dominance,
+  candidate-pruning and Eq. (3)/(2) kernels, bit-identical to the scalar
+  references they are tested against.
 """
 
 from repro.engine.cache import CacheStats, LRUCache, NullCache
-from repro.engine.executor import (
-    Executor,
-    ParallelExecutor,
-    SerialExecutor,
-    ShardScatter,
-)
+from repro.engine.executor import Executor, ParallelExecutor, SerialExecutor
 from repro.engine.plan import QueryPlan, compile_plan
 from repro.engine.session import (
     QueryOutcome,
@@ -69,7 +66,6 @@ __all__ = [
     "SPEC_KINDS",
     "SerialExecutor",
     "Session",
-    "ShardScatter",
     "UpdateSpec",
     "compile_plan",
     "dataset_fingerprint",

@@ -1,30 +1,22 @@
-"""NumPy-vectorized dominance and candidate-pruning kernels.
+"""NumPy-vectorized dominance, candidate-pruning and Eq. (3)/(2) kernels.
 
-Every kernel has two implementations selected by ``use_numpy``:
-
-* a broadcast NumPy path that evaluates whole point matrices at once
-  (chunked over centers to bound the ``(chunk, n, d)`` scratch memory);
-* a pure-Python fallback that loops over the scalar predicates from
-  :mod:`repro.geometry.dominance`.
-
-Both paths perform the same float64 subtractions, ``abs`` and comparisons
-element by element, so their outputs are **bit-compatible** — the parity is
-property-tested, and the engine may pick either path per session without
-changing any result.
+Every kernel evaluates whole point matrices at once, chunked to bound its
+broadcast scratch memory.  Each performs the same float64 subtractions,
+``abs`` and comparisons element by element as the scalar predicates of
+:mod:`repro.geometry.dominance` and the Eq. (3)/(2) helpers of
+:mod:`repro.prsq.probability`, so its outputs are **bit-identical** to
+those references; the parity is property-tested against them.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.geometry.dominance import dominance_vector, dynamically_dominates
+from repro.geometry.dominance import dominance_vector
 from repro.geometry.point import PointLike, as_point
 from repro.geometry.rectangle import Rect
-
-#: Default kernel selection for sessions that don't specify one.
-DEFAULT_USE_NUMPY = True
 
 # Centers per broadcast chunk: bounds the (chunk, n, d) scratch array to a
 # few MB for the cardinalities the benchmarks sweep.
@@ -50,14 +42,6 @@ _PAIR_BLOCK_ELEMENTS = 1 << 13
 _WORLD_CHUNK = 256
 
 
-def resolve_use_numpy(use_numpy: Optional[bool]) -> bool:
-    """Apply the session default when a caller leaves the switch unset."""
-    return DEFAULT_USE_NUMPY if use_numpy is None else use_numpy
-
-
-_resolve = resolve_use_numpy
-
-
 def _dominance_block(dp: np.ndarray, dq: np.ndarray) -> np.ndarray:
     """Dynamic-dominance predicate on pre-computed |·-center| distances.
 
@@ -69,7 +53,7 @@ def _dominance_block(dp: np.ndarray, dq: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# order-stable reductions (shared by the scalar and tensor probability paths)
+# order-stable reductions (shared by the kernels and the scalar references)
 # ---------------------------------------------------------------------------
 def masked_ordered_sum(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Left-to-right sum of ``values`` where ``mask``, along the last axis.
@@ -78,14 +62,14 @@ def masked_ordered_sum(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     so a zero-padded array need not sum to the same bits as its unpadded
     prefix), this accumulates strictly in index order.  Masked-out and
     padded slots contribute an exact ``+0.0`` — a floating-point no-op for
-    the non-negative probabilities summed here — so the scalar path (over
-    ``l`` real samples) and the tensor path (over ``S_max`` padded slots)
-    produce **bit-identical** Eq. (3) entries.
+    the non-negative probabilities summed here — so the scalar reference
+    (over ``l`` real samples) and the tensor kernels (over ``S_max``
+    padded slots) produce **bit-identical** Eq. (3) entries.
     """
     values = np.asarray(values, dtype=np.float64)
     mask = np.asarray(mask, dtype=bool)
     if values.ndim == 1 and mask.ndim == 1:
-        # Scalar-path fast lane: plain float accumulation, skipping the
+        # One-vector fast lane: plain float accumulation, skipping the
         # masked-out exact-zero terms (a bit-exact no-op), instead of one
         # 0-d ufunc round-trip per element.
         acc = 0.0
@@ -103,8 +87,9 @@ def masked_ordered_sum(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
 def ordered_dot(a: np.ndarray, b: np.ndarray) -> float:
     """Left-to-right ``sum_i a[i] * b[i]`` (the Eq. (2) final reduction).
 
-    BLAS ``np.dot`` blocks and reorders; both probability paths use this
-    sequential form instead so their final bits agree.
+    BLAS ``np.dot`` blocks and reorders; the Eq. (2) reference uses this
+    sequential form instead, as the segmented kernel's in-order
+    accumulation does, so their final bits agree.
     """
     acc = 0.0
     for x, y in zip(np.asarray(a, dtype=np.float64).tolist(),
@@ -114,27 +99,16 @@ def ordered_dot(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def dominance_mask(
-    points: np.ndarray,
-    target: PointLike,
-    center: PointLike,
-    use_numpy: Optional[bool] = None,
+    points: np.ndarray, target: PointLike, center: PointLike
 ) -> np.ndarray:
     """Boolean vector: row ``k`` iff ``points[k] ≺_center target``."""
     points = np.asarray(points, dtype=np.float64)
-    t = as_point(target)
-    c = as_point(center)
-    if _resolve(use_numpy):
-        return dominance_vector(points, t, c)
-    return np.array(
-        [dynamically_dominates(points[k], t, c) for k in range(points.shape[0])],
-        dtype=bool,
-    )
+    return dominance_vector(points, as_point(target), as_point(center))
 
 
 def dominator_counts(
     points: np.ndarray,
     q: PointLike,
-    use_numpy: Optional[bool] = None,
 ) -> np.ndarray:
     """For every point ``p_i``: how many other points dominate ``q`` w.r.t. ``p_i``.
 
@@ -144,15 +118,6 @@ def dominator_counts(
     points = np.asarray(points, dtype=np.float64)
     qq = as_point(q, dims=points.shape[1])
     n = points.shape[0]
-    if not _resolve(use_numpy):
-        counts = np.zeros(n, dtype=np.int64)
-        for i in range(n):
-            center = points[i]
-            for j in range(n):
-                if j != i and dynamically_dominates(points[j], qq, center):
-                    counts[i] += 1
-        return counts
-
     counts = np.empty(n, dtype=np.int64)
     for start in range(0, n, _CENTER_CHUNK):
         centers = points[start : start + _CENTER_CHUNK]
@@ -168,31 +133,20 @@ def dominator_counts(
     return counts
 
 
-def reverse_skyline_mask(
-    points: np.ndarray,
-    q: PointLike,
-    use_numpy: Optional[bool] = None,
-) -> np.ndarray:
+def reverse_skyline_mask(points: np.ndarray, q: PointLike) -> np.ndarray:
     """Boolean reverse-skyline membership per point (no dominators of ``q``)."""
-    return dominator_counts(points, q, use_numpy=use_numpy) == 0
+    return dominator_counts(points, q) == 0
 
 
-def k_skyband_mask(
-    points: np.ndarray,
-    q: PointLike,
-    k: int,
-    use_numpy: Optional[bool] = None,
-) -> np.ndarray:
+def k_skyband_mask(points: np.ndarray, q: PointLike, k: int) -> np.ndarray:
     """Boolean reverse k-skyband membership (fewer than ``k`` dominators)."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    return dominator_counts(points, q, use_numpy=use_numpy) < k
+    return dominator_counts(points, q) < k
 
 
 def points_in_any_window(
-    points: np.ndarray,
-    windows: Sequence[Rect],
-    use_numpy: Optional[bool] = None,
+    points: np.ndarray, windows: Sequence[Rect]
 ) -> np.ndarray:
     """Candidate-pruning mask: rows of *points* inside at least one window.
 
@@ -202,29 +156,21 @@ def points_in_any_window(
     points = np.asarray(points, dtype=np.float64)
     if not windows:
         return np.zeros(points.shape[0], dtype=bool)
-    if _resolve(use_numpy):
-        los = np.stack([w.lo for w in windows])  # (m, d)
-        his = np.stack([w.hi for w in windows])
-        # Chunk over windows: a center with many samples produces many
-        # windows, and the unchunked (n, m, d) broadcast would scale its
-        # scratch with the product.  OR-accumulation over chunks is exact.
-        hit = np.zeros(points.shape[0], dtype=bool)
-        for start in range(0, los.shape[0], _WINDOW_CHUNK):
-            lo = los[start : start + _WINDOW_CHUNK]
-            hi = his[start : start + _WINDOW_CHUNK]
-            inside = np.logical_and(
-                (points[:, np.newaxis, :] >= lo[np.newaxis, :, :]).all(axis=2),
-                (points[:, np.newaxis, :] <= hi[np.newaxis, :, :]).all(axis=2),
-            )
-            hit |= inside.any(axis=1)
-        return hit
-    return np.array(
-        [
-            any(w.contains_point(points[i]) for w in windows)
-            for i in range(points.shape[0])
-        ],
-        dtype=bool,
-    )
+    los = np.stack([w.lo for w in windows])  # (m, d)
+    his = np.stack([w.hi for w in windows])
+    # Chunk over windows: a center with many samples produces many
+    # windows, and the unchunked (n, m, d) broadcast would scale its
+    # scratch with the product.  OR-accumulation over chunks is exact.
+    hit = np.zeros(points.shape[0], dtype=bool)
+    for start in range(0, los.shape[0], _WINDOW_CHUNK):
+        lo = los[start : start + _WINDOW_CHUNK]
+        hi = his[start : start + _WINDOW_CHUNK]
+        inside = np.logical_and(
+            (points[:, np.newaxis, :] >= lo[np.newaxis, :, :]).all(axis=2),
+            (points[:, np.newaxis, :] <= hi[np.newaxis, :, :]).all(axis=2),
+        )
+        hit |= inside.any(axis=1)
+    return hit
 
 
 # ---------------------------------------------------------------------------
@@ -236,7 +182,6 @@ def eq3_dominance_tensor(
     other_probabilities: np.ndarray,
     other_mask: np.ndarray,
     q: PointLike,
-    use_numpy: Optional[bool] = None,
 ) -> np.ndarray:
     """Eq. (3) matrix: ``out[r, i] = Pr{other_r ≺_{center_i} q}``.
 
@@ -247,13 +192,14 @@ def eq3_dominance_tensor(
     other_samples, other_probabilities, other_mask:
         ``(R, S, d)`` / ``(R, S)`` padded rows from a
         :class:`~repro.uncertain.tensor.DatasetTensor` gather.
-    use_numpy:
-        Broadcast path (chunked over ``R`` so the ``(C, chunk, S, d)``
-        scratch stays bounded) vs. the scalar per-sample fallback.  Both
-        run the same float comparisons and the same left-to-right masked
-        sums, so their outputs are bit-identical.  One broadcast suits
-        the few relevant rows of one center; a whole query's pairs go
-        through :func:`eq2_segmented` instead.
+
+    One broadcast, chunked over ``R`` so the ``(C, chunk, S, d)`` scratch
+    stays bounded.  It runs the float comparisons and left-to-right
+    masked sums of
+    :func:`~repro.prsq.probability.dominance_probability_vector`, so its
+    rows are bit-identical to that reference.  One broadcast suits the
+    few relevant rows of one center; a whole query's pairs go through
+    :func:`eq2_segmented` instead.
     """
     center_samples = np.asarray(center_samples, dtype=np.float64)
     other_samples = np.asarray(other_samples, dtype=np.float64)
@@ -262,20 +208,6 @@ def eq3_dominance_tensor(
     c = center_samples.shape[0]
     r, s, d = other_samples.shape
     qq = as_point(q, dims=center_samples.shape[1])
-
-    if not _resolve(use_numpy):
-        out = np.zeros((r, c), dtype=np.float64)
-        for j in range(r):
-            valid = other_mask[j]
-            samples = other_samples[j][valid]
-            probs = other_probabilities[j][valid]
-            for i in range(c):
-                if samples.shape[0] == 0:
-                    continue
-                dominating = dominance_vector(samples, qq, center_samples[i])
-                out[j, i] = masked_ordered_sum(probs, dominating)
-        return out
-
     out = np.empty((r, c), dtype=np.float64)
     chunk = max(1, _EQ3_SCRATCH_ELEMENTS // max(1, c * s * d))
     for start in range(0, r, chunk):
@@ -338,31 +270,6 @@ def _eq3_block(
     return out
 
 
-def eq2_probability(
-    center_probabilities: np.ndarray,
-    eq3: np.ndarray,
-    rows: Optional[Sequence[int]] = None,
-) -> float:
-    """Batched Eq. (2): ``sum_i p_i * prod_r (1 - eq3[r, i])``.
-
-    The survival product runs row by row in the given order (``rows``
-    restricts and orders it — the ``P − Γ`` evaluations), matching the
-    scalar :func:`repro.prsq.probability.probability_from_matrix` loop
-    factor for factor.  All-zero rows are skipped: they multiply by an
-    exact ``1.0``, a floating-point no-op (Lemma 1's irrelevance argument
-    in bit-exact form).
-    """
-    center_probabilities = np.asarray(center_probabilities, dtype=np.float64)
-    eq3 = np.asarray(eq3, dtype=np.float64)
-    survival = np.ones(center_probabilities.shape[0], dtype=np.float64)
-    order = range(eq3.shape[0]) if rows is None else rows
-    for j in order:
-        row = eq3[j]
-        if row.any():
-            survival = survival * (1.0 - row)
-    return ordered_dot(center_probabilities, survival)
-
-
 def eq2_segmented(
     samples: np.ndarray,
     probabilities: np.ndarray,
@@ -385,10 +292,11 @@ def eq2_segmented(
     segment.  Per block: Eq. (3) for every pair (:func:`_eq3_block`); the
     survival products as one ``multiply.reduceat`` over the segments,
     which multiplies each segment's rows in order, factor for factor
-    :func:`eq2_probability`; then the ordered dot with each center's
-    probabilities, over its real samples.  Results are bit-identical to
-    evaluating the centers one by one, and the Python call count is
-    O(blocks), not O(pairs).
+    :func:`~repro.prsq.probability.probability_from_matrix`; then the
+    ordered dot with each center's probabilities, over its real samples.
+    Results are bit-identical to that reference and to evaluating the
+    centers one by one, and the Python call count is O(blocks), not
+    O(pairs).
     """
     samples = np.asarray(samples, dtype=np.float64)
     n_slots, dims = samples.shape[1], samples.shape[2]
@@ -448,13 +356,13 @@ def influence_mask(
     other_samples: np.ndarray,
     other_mask: np.ndarray,
     q: PointLike,
-    use_numpy: Optional[bool] = None,
 ) -> np.ndarray:
     """Lemma-1 filter: can object ``r`` dominate ``q`` w.r.t. *any* center sample?
 
     ``out[r]`` is ``True`` iff some valid sample of ``other_r`` dynamically
     dominates ``q`` w.r.t. some row of *center_samples* — i.e. the object's
-    Eq. (3) vector is non-zero.  Boolean-exact on both paths.
+    Eq. (3) vector is non-zero.  Boolean-exact against the scalar
+    :func:`~repro.core.candidates.can_influence`.
     """
     center_samples = np.asarray(center_samples, dtype=np.float64)
     other_samples = np.asarray(other_samples, dtype=np.float64)
@@ -462,19 +370,6 @@ def influence_mask(
     c = center_samples.shape[0]
     r, s, d = other_samples.shape
     qq = as_point(q, dims=center_samples.shape[1])
-
-    if not _resolve(use_numpy):
-        out = np.zeros(r, dtype=bool)
-        for j in range(r):
-            samples = other_samples[j][other_mask[j]]
-            if samples.shape[0] == 0:
-                continue
-            out[j] = any(
-                dominance_vector(samples, qq, center_samples[i]).any()
-                for i in range(c)
-            )
-        return out
-
     out = np.zeros(r, dtype=bool)
     chunk = max(1, _EQ3_SCRATCH_ELEMENTS // max(1, c * s * d))
     for start in range(0, r, chunk):
@@ -492,7 +387,6 @@ def undominated_world_mask(
     instantiated: np.ndarray,
     centers: np.ndarray,
     q: PointLike,
-    use_numpy: Optional[bool] = None,
 ) -> np.ndarray:
     """Monte-Carlo world kernel: worlds where no instantiation dominates ``q``.
 
@@ -505,21 +399,12 @@ def undominated_world_mask(
 
     Returns the ``(W,)`` boolean vector of *hit* worlds (the center's
     instantiation is a reverse skyline point).  Chunked over worlds;
-    boolean-exact on both paths.
+    boolean-exact against a per-world ``dominance_vector`` loop.
     """
     instantiated = np.asarray(instantiated, dtype=np.float64)
     centers = np.asarray(centers, dtype=np.float64)
     n, worlds, _ = instantiated.shape
     qq = as_point(q, dims=centers.shape[1])
-
-    if not _resolve(use_numpy):
-        hits = np.zeros(worlds, dtype=bool)
-        for w in range(worlds):
-            hits[w] = not dominance_vector(
-                instantiated[:, w, :], qq, centers[w]
-            ).any()
-        return hits
-
     hits = np.empty(worlds, dtype=bool)
     for start in range(0, worlds, _WORLD_CHUNK):
         sl = slice(start, min(start + _WORLD_CHUNK, worlds))

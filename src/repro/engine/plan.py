@@ -3,10 +3,10 @@ executable plan against a :class:`~repro.engine.session.Session`.
 
 A plan is a small value object: the ordered step names (for explain/debug
 output) plus a runner closure.  Planning is where the engine picks between
-equivalent physical implementations — e.g. the broadcast NumPy kernel vs.
-the R-tree + scalar path for reverse skylines — guided by the session's
-``use_numpy`` switch.  All alternatives produce identical results (parity
-is property-tested), so the choice is purely physical.
+equivalent physical implementations — e.g. the dense broadcast kernel vs.
+the batched packed-index windows for reverse skylines — guided by the
+dataset's size and sharding.  All alternatives produce identical results
+(parity is property-tested), so the choice is purely physical.
 """
 
 from __future__ import annotations
@@ -48,17 +48,14 @@ def _vectorize(session: "Session") -> bool:
     # single-dataset assumption sharding removes — and the per-shard
     # window filter is what the scatter-gather machinery accelerates.
     return (
-        session.use_numpy
-        and len(session.dataset) <= VECTORIZED_MAX_N
-        and session.shard_count == 1
+        len(session.dataset) <= VECTORIZED_MAX_N and session.shard_count == 1
     )
 
 
 def _filter_kernel(session: "Session") -> str:
     """The filter-phase kernel label for trace spans."""
-    base = "packed-windows" if session.use_numpy else "rtree-windows"
     k = session.shard_count
-    return f"sharded-{base}[k={k}]" if k > 1 else base
+    return f"sharded-packed-windows[k={k}]" if k > 1 else "packed-windows"
 
 
 @dataclass(frozen=True)
@@ -94,7 +91,7 @@ def plan_prsq(spec: PRSQSpec) -> QueryPlan:
     return QueryPlan(
         spec=spec,
         steps=("prsq-probabilities (cached per query point; "
-               "tensorized eq2/eq3 kernels | scalar fallback)",
+               "grouped packed filter, segmented eq3/eq2 kernel)",
                f"threshold-filter alpha={spec.alpha} want={spec.want}"),
         runner=run,
     )
@@ -103,8 +100,7 @@ def plan_prsq(spec: PRSQSpec) -> QueryPlan:
 def plan_causality(spec: CausalitySpec) -> QueryPlan:
     def run(session: "Session") -> Any:
         return compute_causality(
-            session.dataset, spec.an, spec.q, spec.alpha, config=spec.config,
-            use_numpy=session.use_numpy,
+            session.dataset, spec.an, spec.q, spec.alpha, config=spec.config
         )
 
     return QueryPlan(
@@ -127,7 +123,6 @@ def plan_pdf_causality(spec: PdfCausalitySpec) -> QueryPlan:
             spec.alpha,
             config=spec.config,
             windows=windows,
-            use_numpy=session.use_numpy,
         )
 
     return QueryPlan(
@@ -140,9 +135,7 @@ def plan_pdf_causality(spec: PdfCausalitySpec) -> QueryPlan:
 
 def plan_causality_certain(spec: CausalityCertainSpec) -> QueryPlan:
     def run(session: "Session") -> Any:
-        return compute_causality_certain(
-            session.dataset, spec.an, spec.q, use_numpy=session.use_numpy
-        )
+        return compute_causality_certain(session.dataset, spec.an, spec.q)
 
     return QueryPlan(
         spec=spec,
@@ -154,8 +147,7 @@ def plan_causality_certain(spec: CausalityCertainSpec) -> QueryPlan:
 def plan_k_skyband_causality(spec: KSkybandCausalitySpec) -> QueryPlan:
     def run(session: "Session") -> Any:
         return compute_causality_k_skyband(
-            session.dataset, spec.an, spec.q, spec.k,
-            use_numpy=session.use_numpy,
+            session.dataset, spec.an, spec.q, spec.k
         )
 
     return QueryPlan(
@@ -171,7 +163,7 @@ def plan_reverse_skyline(spec: ReverseSkylineSpec) -> QueryPlan:
         if _vectorize(session):
             with _span("filter", kernel="broadcast"):
                 mask = kernels.reverse_skyline_mask(
-                    session.dataset.points, spec.q, use_numpy=True
+                    session.dataset.points, spec.q
                 )
             with _span("refine") as sp:
                 ids = session.dataset.ids()
@@ -179,14 +171,11 @@ def plan_reverse_skyline(spec: ReverseSkylineSpec) -> QueryPlan:
                 sp.set(answers=len(result))
             return result
         with _span("filter", kernel=_filter_kernel(session)):
-            return reverse_skyline(
-                session.dataset, spec.q, use_numpy=session.use_numpy
-            )
+            return reverse_skyline(session.dataset, spec.q)
 
     return QueryPlan(
         spec=spec,
-        steps=("vectorized-dominator-counts | "
-               "packed-batched-windows | rtree-window-per-object",),
+        steps=("vectorized-dominator-counts | packed-batched-windows",),
         runner=run,
     )
 
@@ -196,7 +185,7 @@ def plan_reverse_k_skyband(spec: ReverseKSkybandSpec) -> QueryPlan:
         if _vectorize(session):
             with _span("filter", kernel="broadcast", k=spec.k):
                 mask = kernels.k_skyband_mask(
-                    session.dataset.points, spec.q, spec.k, use_numpy=True
+                    session.dataset.points, spec.q, spec.k
                 )
             with _span("refine") as sp:
                 ids = session.dataset.ids()
@@ -204,14 +193,12 @@ def plan_reverse_k_skyband(spec: ReverseKSkybandSpec) -> QueryPlan:
                 sp.set(answers=len(result))
             return result
         with _span("filter", kernel=_filter_kernel(session), k=spec.k):
-            return reverse_k_skyband(
-                session.dataset, spec.q, spec.k, use_numpy=session.use_numpy
-            )
+            return reverse_k_skyband(session.dataset, spec.q, spec.k)
 
     return QueryPlan(
         spec=spec,
         steps=(f"vectorized-k-skyband-counts k={spec.k} | "
-               "packed-batched-windows | rtree-window-per-object",),
+               "packed-batched-windows",),
         runner=run,
     )
 

@@ -18,14 +18,12 @@ Typical use::
     envelope = session.query(PRSQSpec(q=(5.0, 5.0), alpha=0.5))
     outcomes = session.execute_batch(specs, executor=ParallelExecutor(4))
 
-(Most callers should prefer the :func:`repro.api.connect` client facade;
-the legacy ``run``/``execute`` methods remain as deprecation shims.)
+(Most callers should prefer the :func:`repro.api.connect` client facade.)
 """
 
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, replace
 from typing import (
     Any,
@@ -152,12 +150,9 @@ class Session:
     cache_size:
         Capacity of the private cache when one is built; ``0`` disables
         caching (same convention as the executor and the CLI).
-    use_numpy:
-        Select the vectorized kernels (default) or the scalar fallback
-        paths; both produce identical results.
     build_index:
-        Bulk-load the R-tree eagerly at construction (default) instead of
-        on first use.
+        Bulk-load the R-tree and freeze its packed snapshot eagerly at
+        construction (default) instead of on first use.
     tracer:
         Optional :class:`repro.obs.Tracer`.  When set, every query runs
         under a root ``query`` span, instrumented phases (filter, refine,
@@ -179,7 +174,6 @@ class Session:
         dataset: UncertainDataset,
         cache: Any = _DEFAULT,
         cache_size: int = 4096,
-        use_numpy: bool = True,
         build_index: bool = True,
         tracer: Optional[obs.Tracer] = None,
         shards: Optional[int] = None,
@@ -193,7 +187,6 @@ class Session:
 
             dataset = shard_dataset(dataset, shards)
         self.dataset = dataset
-        self.use_numpy = use_numpy
         self.build_index = build_index
         self.tracer = tracer
         #: Monotonic dataset version: 0 at construction, bumped by every
@@ -210,21 +203,12 @@ class Session:
             self.cache = cache
         self._pdf_objects: Dict[Hashable, ContinuousUncertainObject] = {}
         if build_index:
-            self._build_index_for(dataset)
-
-    def _build_index_for(self, dataset: UncertainDataset) -> None:
-        """Eagerly build the traversal structure this session will query.
-
-        ``use_numpy`` sessions run the packed level-frontier kernels, so
-        the packed snapshot(s) are frozen now — if the dataset already
-        holds them (the worker array handoff), this is a no-op and **no
-        pointer tree is built at all**; otherwise the bulk load runs once
-        and the freeze adds a single O(n) array pass.  Scalar sessions
-        bulk-load the pointer tree(s) as before.  Delegating to the
-        dataset's ``warm_index`` lets sharded datasets warm every
-        per-shard structure behind the same call.
-        """
-        dataset.warm_index(self.use_numpy)
+            # Freeze the packed snapshot(s) every read traverses now.  If
+            # the dataset already holds them (the worker array handoff),
+            # this is a no-op and **no pointer tree is built at all**;
+            # otherwise the bulk load runs once and the freeze adds one
+            # O(n) array pass.  A sharded dataset warms every shard.
+            dataset.warm_index()
 
     # ------------------------------------------------------------------
     # construction variants
@@ -336,15 +320,9 @@ class Session:
         hands out the cached object itself, at 8 bytes an object.
         """
         q_tuple = tuple(float(v) for v in q)
-        # use_numpy deliberately stays out of the cache key: both kernel
-        # paths are bit-compatible (property-tested), so sessions with
-        # different switches can share one cache without divergent hits.
         key = self._key("prsq-probabilities", q_tuple)
         value, _ = self.cache.get_or_compute(
-            key,
-            lambda: prsq_probability_map(
-                self.dataset, q_tuple, use_numpy=self.use_numpy
-            ),
+            key, lambda: prsq_probability_map(self.dataset, q_tuple)
         )
         return value
 
@@ -359,10 +337,6 @@ class Session:
         """Compile (but do not run) the plan for *spec*."""
         self._check_spec(spec)
         return compile_plan(spec)
-
-    def _run_raw(self, spec: QuerySpec) -> Any:
-        """Execute *spec* bypassing the result cache (sub-caches still apply)."""
-        return self.plan(spec).execute(self)
 
     def _run_cached(self, plan: QueryPlan, spec: QuerySpec) -> Tuple[Any, bool]:
         """``(value, was_hit)`` through the result cache.
@@ -404,7 +378,6 @@ class Session:
                             self.dataset.access_stats.snapshot()
                             - access_before
                         ).node_accesses,
-                        use_numpy=self.use_numpy,
                     )
             phases = root.phase_totals()
         elapsed = time.perf_counter() - started
@@ -443,28 +416,6 @@ class Session:
             self._execute_outcome(spec), fingerprint=self.fingerprint
         )
 
-    # -- legacy v1 shims ------------------------------------------------
-    def run(self, spec: QuerySpec) -> Any:
-        """Deprecated: use :meth:`query` (or the :func:`repro.api.connect`
-        client) and ``.to_raw()`` for the old payload shape."""
-        warnings.warn(
-            "Session.run(spec) is deprecated; use Session.query(spec) / "
-            "repro.api.connect(...) which return typed QueryResult envelopes",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._run_raw(spec)
-
-    def execute(self, spec: QuerySpec) -> QueryOutcome:
-        """Deprecated: use :meth:`query` for a typed, versioned envelope."""
-        warnings.warn(
-            "Session.execute(spec) is deprecated; use Session.query(spec) / "
-            "repro.api.connect(...) which return typed QueryResult envelopes",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self._execute_outcome(spec)
-
     def execute_batch(
         self,
         specs: Iterable[QuerySpec],
@@ -499,7 +450,7 @@ class Session:
         :meth:`replace_dataset` here can never be observed by queries
         already running against the snapshot: they keep serving the old
         frozen arrays.  Cost per call is O(n) pointer copies plus one
-        O(n) packed re-freeze (``use_numpy`` sessions); see
+        O(n) packed re-freeze; see
         :meth:`repro.uncertain.dataset.UncertainDataset.snapshot`.
 
         This is the publish step of the serve layer's single-writer
@@ -508,16 +459,8 @@ class Session:
         finish on the previous snapshot.
         """
         snapshot = Session(
-            self.dataset.snapshot(freeze_packed=self.use_numpy),
-            cache=self.cache,
-            use_numpy=self.use_numpy,
-            build_index=False,
+            self.dataset.snapshot(), cache=self.cache, build_index=False
         )
-        if not self.use_numpy:
-            # Scalar readers traverse the pointer tree(s): bulk-load once
-            # here so per-request views share them instead of each paying
-            # their own O(n log n) build.
-            snapshot.dataset.warm_index(False)
         snapshot.version = self.version
         snapshot._pdf_objects = dict(self._pdf_objects)
         return snapshot
@@ -532,12 +475,7 @@ class Session:
         replay).  Only take readers of immutable snapshot sessions — a
         reader of a *live* session shares maps its writer would patch.
         """
-        view = Session(
-            self.dataset.view(),
-            cache=self.cache,
-            use_numpy=self.use_numpy,
-            build_index=False,
-        )
+        view = Session(self.dataset.view(), cache=self.cache, build_index=False)
         view.version = self.version
         view._pdf_objects = self._pdf_objects
         return view
@@ -617,7 +555,7 @@ class Session:
         if pdf_objects is not None:
             self._pdf_objects = {obj.oid: obj for obj in pdf_objects}
         if self.build_index:
-            self._build_index_for(dataset)
+            dataset.warm_index()
 
     def __repr__(self) -> str:
         kind = "certain" if self.is_certain else "uncertain"

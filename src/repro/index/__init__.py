@@ -1,7 +1,6 @@
 """R-tree indexing with node-access (I/O) accounting."""
 
 from repro.index.bulk import bulk_load, str_partition
-from repro.index.knn import k_nearest, nearest
 from repro.index.node import Node
 from repro.index.packed import PackedRTree
 from repro.index.rtree import DEFAULT_PAGE_SIZE, RTree, fanout_for_page
@@ -18,7 +17,5 @@ __all__ = [
     "ShardedIndex",
     "bulk_load",
     "fanout_for_page",
-    "k_nearest",
-    "nearest",
     "str_partition",
 ]

@@ -23,8 +23,8 @@ tested against all query windows in one broadcast comparison per level.
 The frontier visits exactly the node set the pointer traversal visits (the
 root unconditionally, then every child whose MBR crosses a window), and
 every visit is recorded through the same :class:`AccessStats` counters, so
-the paper's node-access metric is identical on both paths — this parity is
-property-tested.
+the paper's node-access metric is identical on both structures — this
+parity is property-tested.
 
 A snapshot is immutable and self-contained (plain arrays plus the payload
 list), so it pickles cheaply: :class:`~repro.engine.executor

@@ -317,12 +317,6 @@ class RTree:
         """Per-window payload lists (the packed kernel's loop reference)."""
         return [self.range_search(window) for window in windows]
 
-    def range_search_any_grouped(
-        self, groups: Sequence[Sequence[Rect]]
-    ) -> List[List[Any]]:
-        """One ``range_search_any`` answer per window group (loop reference)."""
-        return [self.range_search_any(group) for group in groups]
-
     def freeze(self, stats: Optional[AccessStats] = None):
         """Export this tree as an immutable array-backed
         :class:`~repro.index.packed.PackedRTree` snapshot.

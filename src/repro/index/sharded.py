@@ -1,12 +1,12 @@
 """Scatter-gather facade over per-shard spatial indexes.
 
 A :class:`~repro.uncertain.sharded.ShardedDataset` holds k disjoint
-sub-datasets, each with its own :class:`~repro.index.packed.PackedRTree`
-(or pointer :class:`~repro.index.rtree.RTree`).  :class:`ShardedIndex`
-presents those k indexes as one object answering the same four
-``range_search*`` calls every filter call site already issues, so the
-Lemma-2 filter, CR's window query, reverse skylines/k-skybands and the
-PRSQ relevance prune run per-shard without a single algorithm edit.
+sub-datasets, each with its own :class:`~repro.index.packed.PackedRTree`.
+:class:`ShardedIndex` presents those k indexes as one object answering
+the same ``range_search*`` and ``group_hits`` calls every filter call
+site already issues, so the Lemma-2 filter, CR's window query, reverse
+skylines/k-skybands and the PRSQ relevance prune run per-shard without a
+single algorithm edit.
 
 Hit-set soundness rides on two facts:
 
@@ -34,11 +34,6 @@ Node-access accounting accumulates into the owning dataset's shared
 it), but the *counts* differ from the unsharded tree — k roots, different
 tree heights — so sharded parity is defined over results, never over
 ``node_accesses``.
-
-An optional scatter pool (:class:`~repro.engine.executor.ShardScatter`)
-fans the per-shard ``range_search_many`` calls out across worker
-processes holding the frozen per-shard arrays; results and access deltas
-merge back here.
 """
 
 from __future__ import annotations
@@ -52,43 +47,26 @@ from repro.geometry.rectangle import Rect
 from repro.index.packed import PackedRTree, _stack_windows
 
 
-def _root_bounds(index: Any) -> Tuple[np.ndarray, np.ndarray]:
-    """The root MBR of a packed or pointer index as ``(lo, hi)`` arrays."""
-    if isinstance(index, PackedRTree):
-        return index.node_lo[0], index.node_hi[0]
-    mbr = index.root.mbr
-    if mbr is None:  # empty tree: no window can intersect
-        dims = index.dims
-        return (
-            np.full(dims, np.inf, dtype=np.float64),
-            np.full(dims, -np.inf, dtype=np.float64),
-        )
-    return mbr.lo, mbr.hi
-
-
 class ShardedIndex:
-    """k per-shard indexes behind the single-index ``range_search*`` API.
+    """k per-shard packed indexes behind the single-index API.
 
     Built fresh (cheaply) by ``ShardedDataset.spatial_index`` on every
-    call, so it always wraps the shards' *current* packed/pointer
-    structures.  ``scatter`` is an optional process pool for
-    ``range_search_many``; ``None`` (the default) runs every shard
-    in-process.
+    call, so it always wraps the shards' *current* packed snapshots.
+    Every shard runs in-process.
     """
 
-    def __init__(self, indexes: Sequence[Any], scatter: Optional[Any] = None):
+    def __init__(self, indexes: Sequence[PackedRTree]):
         if not indexes:
             raise ValueError("ShardedIndex needs at least one shard index")
         self.indexes = list(indexes)
         self.dims = self.indexes[0].dims
-        los, his = zip(*(_root_bounds(index) for index in self.indexes))
-        self.shard_lo = np.stack(los)
-        self.shard_hi = np.stack(his)
+        # Root MBRs: a shard's node 0 (datasets are never empty).
+        self.shard_lo = np.stack([index.node_lo[0] for index in self.indexes])
+        self.shard_hi = np.stack([index.node_hi[0] for index in self.indexes])
         #: Global entry index of each shard's first entry (see group_hits).
         self.entry_bases = np.cumsum(
             [0] + [index.size for index in self.indexes[:-1]]
         )
-        self.scatter = scatter
 
     # ------------------------------------------------------------------
     @property
@@ -96,10 +74,7 @@ class ShardedIndex:
         return len(self.indexes)
 
     def __repr__(self) -> str:
-        return (
-            f"<ShardedIndex shards={self.shard_count} dims={self.dims} "
-            f"scatter={'on' if self.scatter is not None else 'off'}>"
-        )
+        return f"<ShardedIndex shards={self.shard_count} dims={self.dims}>"
 
     # ------------------------------------------------------------------
     def _window_mask(self, wlo: np.ndarray, whi: np.ndarray) -> np.ndarray:
@@ -126,7 +101,7 @@ class ShardedIndex:
         return hit
 
     # ------------------------------------------------------------------
-    # the four range_search* calls every filter call site issues
+    # the range_search* calls every filter call site issues
     # ------------------------------------------------------------------
     def range_search(self, window: Rect) -> List[Any]:
         """Payloads of all entries intersecting *window*.
@@ -176,43 +151,23 @@ class ShardedIndex:
             return []
         wlo, whi = _stack_windows(windows, self.dims)
         mask = self._window_mask(wlo, whi)
-        tasks = []
-        for shard in range(self.shard_count):
-            selected = np.flatnonzero(mask[shard])
-            if selected.size:
-                tasks.append((shard, selected))
-        scattered = self._dispatch(
-            [(shard, [windows[i] for i in selected]) for shard, selected in tasks]
-        )
-        if scattered is None:
-            scattered = [
-                self.indexes[shard].range_search_many(
-                    [windows[i] for i in selected]
-                )
-                for shard, selected in tasks
-            ]
         # Every shard answers with fresh lists, so a window adopts its
         # first one instead of copying it, and no list is built only to
         # be replaced.
         results: List[Optional[List[Any]]] = [None] * len(windows)
-        for (_shard, selected), per_window in zip(tasks, scattered):
+        for shard, index in enumerate(self.indexes):
+            selected = np.flatnonzero(mask[shard])
+            if not selected.size:
+                continue
+            per_window = index.range_search_many(
+                [windows[i] for i in selected]
+            )
             for i, hits in zip(selected.tolist(), per_window):
                 if results[i] is None:
                     results[i] = hits
                 else:
                     results[i].extend(hits)
         return [[] if hits is None else hits for hits in results]
-
-    def range_search_any_grouped(
-        self, groups: Sequence[Sequence[Rect]]
-    ) -> List[List[Any]]:
-        """One ``range_search_any`` answer per window group (loop reference).
-
-        The batched grouped filter is :meth:`group_hits`, which the PRSQ
-        relevance sets use; this payload form keeps the facade's API
-        equal to the single-shard indexes'.
-        """
-        return [self.range_search_any(group) for group in groups]
 
     @property
     def payloads(self) -> List[Any]:
@@ -242,8 +197,7 @@ class ShardedIndex:
         others become NaN padding) and only the groups left with one.
         The shards are disjoint, so the concatenated ``(group, entry)``
         pairs, entries offset by :attr:`entry_bases`, are exactly the
-        unsharded hits, in shard-major order; callers sort them.  Always
-        in-process.
+        unsharded hits, in shard-major order; callers sort them.
         """
         n_groups, width, dims = lo.shape
         flat_lo = lo.reshape(-1, dims)
@@ -266,27 +220,3 @@ class ShardedIndex:
                 groups.append(alive[shard_groups])
                 entries.append(shard_entries + self.entry_bases[shard])
         return np.concatenate(groups), np.concatenate(entries)
-
-    # ------------------------------------------------------------------
-    def _dispatch(
-        self, tasks: List[Tuple[int, List[Rect]]]
-    ) -> Optional[List[Any]]:
-        """Fan *tasks* out through the scatter pool, or ``None`` for serial.
-
-        Worker access deltas merge into the corresponding shard index's
-        (shared) :class:`AccessStats`, so the paper's I/O metric stays a
-        single accumulator whether the filter ran in-process or not.
-        """
-        scatter = self.scatter
-        if scatter is None or not tasks or not scatter.accepts(tasks):
-            return None
-        obs.registry().counter("shard.filter.scatter_tasks").inc(len(tasks))
-        parts = scatter.dispatch(tasks)
-        results = []
-        for (shard, _windows), (result, access) in zip(tasks, parts):
-            stats = self.indexes[shard].stats
-            stats.queries += access[0]
-            stats.node_accesses += access[1]
-            stats.leaf_accesses += access[2]
-            results.append(result)
-        return results

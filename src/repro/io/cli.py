@@ -304,8 +304,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pending mutations per dataset (default 128)")
     serve.add_argument("--per-connection", type=int, default=32,
                        help="in-flight requests per connection (default 32)")
-    serve.add_argument("--no-numpy", action="store_true",
-                       help="use the scalar engine instead of packed kernels")
     serve.add_argument(
         "--shards",
         type=int,
@@ -770,7 +768,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         threads=args.threads,
         cache_size=max(args.cache_size, 0),
-        use_numpy=not args.no_numpy,
         max_inflight=args.max_inflight,
         max_queue=args.max_queue,
         write_queue=args.write_queue,

@@ -65,7 +65,6 @@ def sample_reverse_skyline_probability(
     worlds: int = 1_000,
     rng: Optional[np.random.Generator] = None,
     seed: int = 0,
-    use_numpy: Optional[bool] = None,
 ) -> ProbabilityEstimate:
     """Estimate ``Pr(oid)`` by sampling *worlds* possible worlds.
 
@@ -83,13 +82,12 @@ def sample_reverse_skyline_probability(
         distinct seeds (or one shared generator) to obtain independent
         estimates; earlier versions silently reused seed 0 on every call,
         perfectly correlating nominally independent estimates.
-    use_numpy:
-        Evaluate all worlds through the chunked broadcast kernel
-        (:func:`repro.engine.kernels.undominated_world_mask`) or the
-        scalar per-world loop; the hit counts are boolean-exact either
-        way.
+
+    All worlds are evaluated through the chunked broadcast kernel
+    :func:`repro.engine.kernels.undominated_world_mask`, whose hit counts
+    are boolean-exact against a per-world loop.
     """
-    from repro.engine.kernels import resolve_use_numpy, undominated_world_mask
+    from repro.engine.kernels import undominated_world_mask
 
     if worlds < 1:
         raise ValueError("at least one world is required")
@@ -110,7 +108,7 @@ def sample_reverse_skyline_probability(
 
     if not others:
         hits = worlds
-    elif resolve_use_numpy(use_numpy):
+    else:
         # Gather (n_others, chunk, d) instantiations per world chunk — the
         # kernel's internal chunking bounds its scratch, but the gathered
         # input itself must not scale with worlds × objects either.
@@ -123,21 +121,8 @@ def sample_reverse_skyline_probability(
                 [obj.samples[other_draws[obj.oid][sl]] for obj in others]
             )
             hits += int(
-                undominated_world_mask(
-                    instantiated, centers[sl], qq, use_numpy=True
-                ).sum()
+                undominated_world_mask(instantiated, centers[sl], qq).sum()
             )
-    else:
-        from repro.geometry.dominance import dominance_vector
-
-        hits = 0
-        for world in range(worlds):
-            center = target.samples[target_draws[world]]
-            instantiated = np.array(
-                [obj.samples[other_draws[obj.oid][world]] for obj in others]
-            )
-            if not dominance_vector(instantiated, qq, center).any():
-                hits += 1
 
     value = hits / worlds
     std_error = math.sqrt(value * (1.0 - value) / worlds)

@@ -12,15 +12,13 @@ memoization on the removed-set.
 
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional
 
 import numpy as np
 
 from repro.geometry.dominance import dominance_rectangle
 from repro.geometry.point import PointLike, as_point
-from repro.prsq.probability import dominance_probability_matrix
 from repro.uncertain.dataset import UncertainDataset
-from repro.uncertain.object import UncertainObject
 
 
 class MembershipOracle:
@@ -47,7 +45,6 @@ class MembershipOracle:
         q: PointLike,
         alpha: float,
         relevant_ids: Optional[Iterable[Hashable]] = None,
-        use_numpy: Optional[bool] = None,
         use_index: bool = True,
     ):
         if not 0.0 < alpha <= 1.0:
@@ -63,16 +60,14 @@ class MembershipOracle:
                 dominance_rectangle(self.an.samples[i], self.q)
                 for i in range(self.an.num_samples)
             ]
-            indices = dataset.window_positions(
-                windows, exclude=center, use_numpy=use_numpy
-            ).tolist()
+            indices = dataset.window_positions(windows, exclude=center).tolist()
         elif relevant_ids is None:
             indices = [i for i in range(len(dataset)) if i != center]
         else:
             indices = sorted(
                 {dataset.index_of(oid) for oid in relevant_ids} - {center}
             )
-        matrix = self._build_matrix(indices, use_numpy)
+        matrix = self._build_matrix(indices)
 
         # Stack non-zero rows into one (k, l) survival matrix for vector math.
         self.influencer_ids: List[Hashable] = sorted(matrix, key=repr)
@@ -89,34 +84,24 @@ class MembershipOracle:
         self._cache: Dict[FrozenSet[Hashable], float] = {}
         self.evaluations = 0
 
-    def _build_matrix(
-        self, indices: List[int], use_numpy: Optional[bool]
-    ) -> Dict[Hashable, np.ndarray]:
-        """Eq. (3) vectors for the pool at dataset positions *indices*.
+    def _build_matrix(self, indices: List[int]) -> Dict[Hashable, np.ndarray]:
+        """Non-zero Eq. (3) vectors for the pool at dataset positions *indices*.
 
-        The tensor path evaluates the whole pool in one chunked broadcast
-        (:func:`repro.engine.kernels.eq3_dominance_tensor`); the scalar
-        path is the per-dominator reference.  Both produce bit-identical
-        vectors, so the oracle's answers do not depend on the switch.
+        The whole pool is evaluated in one chunked broadcast
+        (:func:`repro.engine.kernels.eq3_dominance_tensor`), bit-identical
+        to the per-dominator reference
+        :func:`~repro.prsq.probability.dominance_probability_matrix`.
         """
-        from repro.engine.kernels import eq3_dominance_tensor, resolve_use_numpy
+        from repro.engine.kernels import eq3_dominance_tensor
 
-        if resolve_use_numpy(use_numpy):
-            tensor = self.dataset.tensor
-            samples, probabilities, mask = tensor.rows(indices)
-            eq3 = eq3_dominance_tensor(
-                self.an.samples, samples, probabilities, mask, self.q,
-                use_numpy=True,
-            )
-            return {
-                tensor.ids[i]: eq3[j]
-                for j, i in enumerate(indices)
-                if eq3[j].any()
-            }
-        objects = self.dataset.objects()
-        return dominance_probability_matrix(
-            self.an, (objects[i] for i in indices), self.q
+        tensor = self.dataset.tensor
+        samples, probabilities, mask = tensor.rows(indices)
+        eq3 = eq3_dominance_tensor(
+            self.an.samples, samples, probabilities, mask, self.q
         )
+        return {
+            tensor.ids[i]: eq3[j] for j, i in enumerate(indices) if eq3[j].any()
+        }
 
     # ------------------------------------------------------------------
     @property

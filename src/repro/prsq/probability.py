@@ -10,20 +10,20 @@ For an uncertain object ``u`` with samples ``u_i``:
 where ``Pr{u' ≺_{u_i} q}`` (Eq. (3)) sums the appearance probabilities of
 the samples of ``u'`` that dynamically dominate ``q`` w.r.t. ``u_i``.
 
-Two bit-compatible evaluation paths are provided, selected by the engine's
-``use_numpy`` switch:
+The queries evaluate it with the tensor kernels: blocked elementwise
+Eq. (3) over the dataset's padded sample tensor followed by segmented
+Eq. (2) reductions (:func:`repro.engine.kernels.eq2_segmented`), for one
+center in :func:`reverse_skyline_probability` and for every center of a
+query in :mod:`repro.prsq.query`.
 
-* the **tensor path** — blocked elementwise Eq. (3) over the dataset's
-  padded sample tensor followed by segmented Eq. (2) reductions
-  (:func:`repro.engine.kernels.eq2_segmented`), for one center here and
-  for every center of a query in :mod:`repro.prsq.query`;
-* the **scalar path** — the per-dominator / per-sample loops below, kept
-  as the reference implementation.
-
-Both paths share the same left-to-right reductions and the same canonical
-Eq. (2) product order (dataset order of the relevant objects), so their
-results are bit-identical — across runs, across ``use_index=True/False``,
-and across ``use_numpy=True/False``; the parity is property-tested.
+The per-dominator / per-sample helpers below
+(:func:`sample_dominance_probability` up to :func:`probability_from_matrix`)
+are the scalar **reference**: they share no kernel with that path, only
+the same left-to-right reductions and the same canonical Eq. (2) product
+order (dataset order of the relevant objects).  The kernels' results are
+bit-identical to them — across runs and across ``use_index=True/False``;
+the parity is property-tested, and the brute-force causality oracle
+evaluates Eq. (2) through them alone.
 """
 
 from __future__ import annotations
@@ -93,17 +93,14 @@ def relevant_indices(
     q: PointLike,
     use_index: bool = True,
     exclude: Optional[Iterable[Hashable]] = None,
-    use_numpy: Optional[bool] = None,
 ) -> List[int]:
     """Dataset positions of the objects Eq. (2) must visit, in dataset order.
 
     With the index, only objects whose MBR crosses one of *oid*'s dominance
-    rectangles can have a non-zero Eq. (3) vector (Lemma 2); ``use_numpy``
-    selects the packed level-frontier traversal vs. the pointer tree —
-    identical hit sets and node accesses either way.  Ascending dataset
-    positions fix the Eq. (2) floating-point product order, so the
-    returned probability bits are identical across runs and across
-    ``use_index=True/False``.
+    rectangles can have a non-zero Eq. (3) vector (Lemma 2), found by one
+    packed level-frontier traversal.  Ascending dataset positions fix the
+    Eq. (2) floating-point product order, so the returned probability
+    bits are identical across runs and across ``use_index=True/False``.
     """
     target = dataset.get(oid)
     qq = as_point(q, dims=dataset.dims)
@@ -113,9 +110,7 @@ def relevant_indices(
             dominance_rectangle(target.samples[i], qq)
             for i in range(target.num_samples)
         ]
-        positions = dataset.window_positions(
-            windows, exclude=center, use_numpy=use_numpy
-        )
+        positions = dataset.window_positions(windows, exclude=center)
     else:
         positions = np.delete(np.arange(len(dataset)), center)
     if exclude is not None:
@@ -130,7 +125,6 @@ def reverse_skyline_probability(
     q: PointLike,
     use_index: bool = True,
     exclude: Optional[Iterable[Hashable]] = None,
-    use_numpy: Optional[bool] = None,
 ) -> float:
     """Eq. (2): the probability of *oid* being a reverse skyline object of ``q``.
 
@@ -142,36 +136,28 @@ def reverse_skyline_probability(
         Eq. (3) vector (Lemma 2), so only those are evaluated exactly.
     exclude:
         Treat these object ids as removed (evaluates ``Pr`` over ``P - Γ``).
-    use_numpy:
-        Tensorized kernels (default) vs. the scalar reference loop; both
-        produce bit-identical results.  The tensor path is the one-center
-        case of the batched PRSQ kernel
-        (:func:`repro.engine.kernels.eq2_segmented`).
-    """
-    from repro.engine.kernels import eq2_segmented, resolve_use_numpy
 
-    target = dataset.get(oid)
+    This is the one-center case of the batched PRSQ kernel
+    (:func:`repro.engine.kernels.eq2_segmented`), bit-identical to the
+    scalar reference ``probability_from_matrix(center,
+    dominance_probability_matrix(center, relevant, q))``.
+    """
+    from repro.engine.kernels import eq2_segmented
+
     qq = as_point(q, dims=dataset.dims)
     indices = relevant_indices(
-        dataset, oid, qq, use_index=use_index, exclude=exclude,
-        use_numpy=use_numpy,
+        dataset, oid, qq, use_index=use_index, exclude=exclude
     )
-    if resolve_use_numpy(use_numpy):
-        # Only the center's row and its relevant rows: the kernel copies
-        # what it is given into slot-major order, O(|relevant|), not O(n).
-        samples, probabilities, mask = dataset.tensor.rows(
-            [dataset.index_of(oid)] + indices
-        )
-        value = eq2_segmented(
-            samples, probabilities, mask,
-            [0], [0, len(indices)], np.arange(1, len(indices) + 1), qq,
-        )
-        return float(value[0])
-    objects = dataset.objects()
-    matrix = dominance_probability_matrix(
-        target, (objects[i] for i in indices), qq
+    # Only the center's row and its relevant rows: the kernel copies
+    # what it is given into slot-major order, O(|relevant|), not O(n).
+    samples, probabilities, mask = dataset.tensor.rows(
+        [dataset.index_of(oid)] + indices
     )
-    return probability_from_matrix(target, matrix)
+    value = eq2_segmented(
+        samples, probabilities, mask,
+        [0], [0, len(indices)], np.arange(1, len(indices) + 1), qq,
+    )
+    return float(value[0])
 
 
 def probability_from_matrix(

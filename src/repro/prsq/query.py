@@ -81,47 +81,37 @@ def prsq_probabilities(
     dataset: UncertainDataset,
     q: PointLike,
     use_index: bool = True,
-    use_numpy: Optional[bool] = None,
 ) -> Dict[Hashable, float]:
     """``Pr(u)`` for every object in the dataset, as a plain dict.
 
     The dict form of :func:`prsq_probability_map`.
     """
-    return dict(
-        prsq_probability_map(
-            dataset, q, use_index=use_index, use_numpy=use_numpy
-        ).items()
-    )
+    return dict(prsq_probability_map(dataset, q, use_index=use_index).items())
 
 
 def prsq_probability_map(
     dataset: UncertainDataset,
     q: PointLike,
     use_index: bool = True,
-    use_numpy: Optional[bool] = None,
 ) -> ProbabilityMap:
     """``Pr(u)`` for every object in the dataset, in dataset order.
 
-    On the ``use_numpy`` index path the Lemma-2 filter for *all* objects
-    runs as one grouped multi-window traversal of the packed R-tree
+    With the index, the Lemma-2 filter for *all* objects runs as one
+    grouped multi-window traversal of the packed R-tree
     (:meth:`~repro.uncertain.dataset.UncertainDataset.relevance_sets`),
     and Eq. (3)/(2) for all of them as one segmented kernel over the
     resulting CSR relevance sets, instead of one scan and one evaluation
     per object; hit sets, node accesses and result bits are identical to
-    the per-object loop.
+    the per-object loop, which ``use_index=False`` runs unpruned.
     """
-    from repro.engine.kernels import resolve_use_numpy
-
     qq = as_point(q, dims=dataset.dims)
-    if use_index and resolve_use_numpy(use_numpy):
+    if use_index:
         return _prsq_probabilities_batched(dataset, qq)
     with _span("probability", mode="per-object", objects=len(dataset)):
         return ProbabilityMap(
             dataset.ids(),
             [
-                reverse_skyline_probability(
-                    dataset, oid, qq, use_index=use_index, use_numpy=use_numpy
-                )
+                reverse_skyline_probability(dataset, oid, qq, use_index=False)
                 for oid in dataset.ids()
             ],
         )
@@ -160,14 +150,11 @@ def probabilistic_reverse_skyline(
     q: PointLike,
     alpha: float,
     use_index: bool = True,
-    use_numpy: Optional[bool] = None,
 ) -> List[Hashable]:
     """Object ids whose ``Pr(u) >= alpha`` (the PRSQ answer set)."""
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    probabilities = prsq_probability_map(
-        dataset, q, use_index=use_index, use_numpy=use_numpy
-    )
+    probabilities = prsq_probability_map(dataset, q, use_index=use_index)
     return [oid for oid, pr in probabilities.items() if pr >= alpha]
 
 
@@ -176,12 +163,9 @@ def prsq_non_answers(
     q: PointLike,
     alpha: float,
     use_index: bool = True,
-    use_numpy: Optional[bool] = None,
 ) -> List[Hashable]:
     """Object ids that are *non-answers* (the CRP inputs)."""
-    probabilities = prsq_probability_map(
-        dataset, q, use_index=use_index, use_numpy=use_numpy
-    )
+    probabilities = prsq_probability_map(dataset, q, use_index=use_index)
     return [oid for oid, pr in probabilities.items() if pr < alpha]
 
 
@@ -191,10 +175,7 @@ def is_prsq_answer(
     q: PointLike,
     alpha: float,
     use_index: bool = True,
-    use_numpy: Optional[bool] = None,
 ) -> Tuple[bool, float]:
     """Membership plus the underlying probability for one object."""
-    pr = reverse_skyline_probability(
-        dataset, oid, q, use_index=use_index, use_numpy=use_numpy
-    )
+    pr = reverse_skyline_probability(dataset, oid, q, use_index=use_index)
     return pr >= alpha, pr

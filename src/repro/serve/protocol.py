@@ -91,7 +91,6 @@ class ServeConfig:
     port: int = DEFAULT_PORT
     threads: int = 4
     cache_size: int = 4096
-    use_numpy: bool = True
     max_inflight: int = 8
     max_queue: int = 64
     write_queue: int = 128

@@ -184,7 +184,6 @@ class DatasetService:
                 else Session(
                     item,
                     cache=self.cache,
-                    use_numpy=self.config.use_numpy,
                     shards=self.config.shards,
                 )
             )

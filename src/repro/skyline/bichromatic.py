@@ -15,7 +15,7 @@ causes are drawn from the *product* dataset: every product dominating
 from __future__ import annotations
 
 import time
-from typing import Hashable, List, Optional
+from typing import Hashable, List
 
 from repro.core.model import Cause, CauseKind, CausalityResult
 from repro.exceptions import NotANonAnswerError
@@ -30,7 +30,6 @@ def product_dominators(
     customer_id: Hashable,
     q: PointLike,
     use_index: bool = True,
-    use_numpy: Optional[bool] = None,
 ) -> List[Hashable]:
     """Products that dynamically dominate ``q`` w.r.t. *customer_id*."""
     center = customers.point_of(customer_id)
@@ -41,7 +40,7 @@ def product_dominators(
         )
     if use_index:
         window = dominance_rectangle(center, qq)
-        pool = products.spatial_index(use_numpy).range_search(window)
+        pool = products.spatial_index().range_search(window)
     else:
         pool = products.ids()
     return sorted(
@@ -58,24 +57,13 @@ def bichromatic_reverse_skyline(
     customers: CertainDataset,
     products: CertainDataset,
     q: PointLike,
-    use_numpy: Optional[bool] = None,
 ) -> List[Hashable]:
     """Customers for which no product dominates ``q`` w.r.t. them.
 
-    On the ``use_numpy`` path all customers' window queries over the
-    product index run as one batched multi-window pass; membership and
-    node accounting match the per-customer loop exactly.
+    All customers' window queries over the product index run as one
+    batched multi-window pass; membership and node accounting match a
+    per-customer :func:`product_dominators` loop exactly.
     """
-    from repro.engine.kernels import resolve_use_numpy
-
-    if not resolve_use_numpy(use_numpy):
-        return [
-            customer.oid
-            for customer in customers
-            if not product_dominators(
-                customers, products, customer.oid, q, use_numpy=False
-            )
-        ]
     qq = as_point(q, dims=customers.dims)
     if products.dims != customers.dims:
         raise ValueError(
@@ -83,7 +71,7 @@ def bichromatic_reverse_skyline(
         )
     centers = [customer.samples[0] for customer in customers]
     windows = [dominance_rectangle(center, qq) for center in centers]
-    hits_per = products.spatial_index(True).range_search_many(windows)
+    hits_per = products.spatial_index().range_search_many(windows)
     members: List[Hashable] = []
     for customer, center, hits in zip(customers, centers, hits_per):
         if not any(
@@ -100,7 +88,6 @@ def compute_causality_bichromatic(
     customer_id: Hashable,
     q: PointLike,
     use_index: bool = True,
-    use_numpy: Optional[bool] = None,
 ) -> CausalityResult:
     """Causality for a customer missing from the bichromatic reverse skyline.
 
@@ -112,8 +99,7 @@ def compute_causality_bichromatic(
     if use_index:
         with products.access_stats.measure() as snapshot:
             dominators = product_dominators(
-                customers, products, customer_id, q, use_index=True,
-                use_numpy=use_numpy,
+                customers, products, customer_id, q, use_index=True
             )
         accesses = snapshot.node_accesses
     else:

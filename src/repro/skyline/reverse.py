@@ -8,12 +8,12 @@ Two implementations are provided:
   in the reverse skyline of ``q`` iff the dominance rectangle of ``p``
   (Lemma 2's geometry specialized to certain data) contains no other point
   that dynamically dominates ``q`` w.r.t. ``p``, which one R-tree window
-  query per point answers.
+  query per point answers — all of them in one batched pass.
 """
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional
+from typing import Hashable, List
 
 from repro.geometry.dominance import dominance_rectangle, dynamically_dominates
 from repro.geometry.point import PointLike, as_point
@@ -44,7 +44,7 @@ def is_reverse_skyline(dataset: CertainDataset, oid: Hashable, q: PointLike) -> 
     center = dataset.point_of(oid)
     qq = as_point(q, dims=dataset.dims)
     window = dominance_rectangle(center, qq)
-    for hit_oid in dataset.rtree.range_search(window):
+    for hit_oid in dataset.spatial_index().range_search(window):
         if hit_oid == oid:
             continue
         if dynamically_dominates(dataset.point_of(hit_oid), qq, center):
@@ -52,23 +52,16 @@ def is_reverse_skyline(dataset: CertainDataset, oid: Hashable, q: PointLike) -> 
     return True
 
 
-def reverse_skyline(
-    dataset: CertainDataset,
-    q: PointLike,
-    use_numpy: Optional[bool] = None,
-) -> List[Hashable]:
+def reverse_skyline(dataset: CertainDataset, q: PointLike) -> List[Hashable]:
     """Reverse skyline of ``q`` using the dataset R-tree.
 
-    On the ``use_numpy`` path all per-object window queries run as one
-    batched multi-window pass over the packed index — the reverse skyline
-    is exactly the reverse 1-skyband, so the batched traversal lives in
+    All per-object window queries run as one batched multi-window pass
+    over the packed index — the reverse skyline is exactly the reverse
+    1-skyband, so the batched traversal lives in
     :func:`repro.skyline.skyband.reverse_k_skyband`.  The membership set,
     its order (dataset order) and the node-access accounting are identical
-    to the per-object pointer loop.
+    to a per-object :func:`is_reverse_skyline` loop.
     """
-    from repro.engine.kernels import resolve_use_numpy
     from repro.skyline.skyband import reverse_k_skyband
 
-    if resolve_use_numpy(use_numpy):
-        return reverse_k_skyband(dataset, q, 1, use_numpy=True)
-    return [obj.oid for obj in dataset if is_reverse_skyline(dataset, obj.oid, q)]
+    return reverse_k_skyband(dataset, q, 1)

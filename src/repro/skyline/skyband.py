@@ -18,7 +18,7 @@ dominator set ``D`` (``|D| = m >= k``):
 from __future__ import annotations
 
 import time
-from typing import Hashable, List, Optional
+from typing import Hashable, List
 
 from repro.core.model import Cause, CauseKind, CausalityResult
 from repro.exceptions import NotANonAnswerError
@@ -33,14 +33,13 @@ def dominators_of_query(
     oid: Hashable,
     q: PointLike,
     use_index: bool = True,
-    use_numpy: Optional[bool] = None,
 ) -> List[Hashable]:
     """Objects that dynamically dominate ``q`` w.r.t. object *oid*."""
     an_point = dataset.point_of(oid)
     qq = as_point(q, dims=dataset.dims)
     if use_index:
         window = dominance_rectangle(an_point, qq)
-        pool = dataset.spatial_index(use_numpy).range_search(window)
+        pool = dataset.spatial_index().range_search(window)
     else:
         pool = dataset.ids()
     return sorted(
@@ -64,31 +63,20 @@ def is_reverse_k_skyband(
 
 
 def reverse_k_skyband(
-    dataset: CertainDataset,
-    q: PointLike,
-    k: int,
-    use_numpy: Optional[bool] = None,
+    dataset: CertainDataset, q: PointLike, k: int
 ) -> List[Hashable]:
     """The reverse k-skyband of ``q`` (``k = 1`` is the reverse skyline).
 
-    On the ``use_numpy`` path every object's window query runs in one
-    batched multi-window pass over the packed index; membership, order
-    and node accesses match the per-object pointer loop exactly.
+    Every object's window query runs in one batched multi-window pass
+    over the packed index; membership, order and node accesses match a
+    per-object :func:`is_reverse_k_skyband` loop exactly.
     """
-    from repro.engine.kernels import resolve_use_numpy
-
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if not resolve_use_numpy(use_numpy):
-        return [
-            obj.oid
-            for obj in dataset
-            if len(dominators_of_query(dataset, obj.oid, q, use_numpy=False)) < k
-        ]
     qq = as_point(q, dims=dataset.dims)
     centers = [obj.samples[0] for obj in dataset]
     windows = [dominance_rectangle(center, qq) for center in centers]
-    hits_per = dataset.spatial_index(True).range_search_many(windows)
+    hits_per = dataset.spatial_index().range_search_many(windows)
     members: List[Hashable] = []
     for obj, center, hits in zip(dataset, centers, hits_per):
         dominators = sum(
@@ -108,7 +96,6 @@ def compute_causality_k_skyband(
     q: PointLike,
     k: int,
     use_index: bool = True,
-    use_numpy: Optional[bool] = None,
 ) -> CausalityResult:
     """Causality & responsibility for a reverse k-skyband non-answer.
 
@@ -126,7 +113,7 @@ def compute_causality_k_skyband(
         if use_index:
             with dataset.access_stats.measure() as snapshot:
                 dominators = dominators_of_query(
-                    dataset, an_oid, q, use_index=True, use_numpy=use_numpy
+                    dataset, an_oid, q, use_index=True
                 )
             accesses = snapshot.node_accesses
         else:

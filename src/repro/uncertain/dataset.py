@@ -91,7 +91,7 @@ class UncertainDataset:
     def access_stats(self) -> AccessStats:
         """Node-access counters shared by the pointer tree *and* the packed
         snapshot, so the paper's I/O metric accumulates in one place no
-        matter which traversal kernel a query selected."""
+        matter which structure a traversal read."""
         return self._access_stats
 
     @property
@@ -120,28 +120,25 @@ class UncertainDataset:
             )
         return self._packed
 
-    def spatial_index(self, use_numpy: Optional[bool] = None):
-        """The traversal structure matching the engine's kernel switch.
+    def spatial_index(self):
+        """The traversal structure every index read goes through.
 
-        ``use_numpy=True`` (or unset, the engine default) selects the
-        packed level-frontier kernels; ``False`` the pointer-tree
-        reference.  Both answer the same ``range_search`` /
-        ``range_search_any`` / ``range_search_many`` /
-        ``range_search_any_grouped`` calls with identical hit sets and
-        identical node-access accounting.
+        The packed snapshot here; a sharded dataset returns a
+        :class:`~repro.index.sharded.ShardedIndex` over its shards'
+        snapshots, answering the same ``range_search`` /
+        ``range_search_any`` / ``range_search_many`` / ``group_hits``
+        calls with identical hit sets.
         """
-        from repro.engine.kernels import resolve_use_numpy
+        return self.packed
 
-        return self.packed if resolve_use_numpy(use_numpy) else self.rtree
-
-    def warm_index(self, use_numpy: Optional[bool] = None) -> None:
+    def warm_index(self) -> None:
         """Eagerly build the structure :meth:`spatial_index` would return.
 
-        Sessions call this instead of touching :attr:`packed`/:attr:`rtree`
-        directly so sharded datasets can warm *their* per-shard structures
-        behind the same call.
+        Sessions call this instead of touching :attr:`packed` directly so
+        sharded datasets can warm *their* per-shard structures behind the
+        same call.
         """
-        self.spatial_index(use_numpy)
+        self.spatial_index()
 
     @property
     def shard_count(self) -> int:
@@ -220,7 +217,7 @@ class UncertainDataset:
         for one index or for the concatenated hits of k shards, so the
         scratch is one block's hits.
         """
-        index = self.spatial_index(True)
+        index = self.spatial_index()
         n_groups, n = lo.shape[0], len(self._objects)
         table = self._positions(index.payloads) if n_groups > 1 else None
         if exclude is not None:
@@ -245,24 +242,15 @@ class UncertainDataset:
         self,
         windows: Sequence[Rect],
         exclude: Optional[int] = None,
-        use_numpy: Optional[bool] = None,
     ) -> np.ndarray:
         """Ascending positions of the objects whose MBR crosses a window.
 
         The one-group :meth:`relevance_sets`, minus the position
-        *exclude*.  ``use_numpy=False`` scans the pointer tree instead
-        and maps its id hits to positions — the same set either way.
+        *exclude*.
         """
-        from repro.engine.kernels import resolve_use_numpy
-
-        windows = list(windows)
-        if resolve_use_numpy(use_numpy):
-            lo, hi = pack_window_groups([windows], self.dims)
-            centers = None if exclude is None else [exclude]
-            return self.relevance_sets(lo, hi, exclude=centers)[1]
-        hits = self.spatial_index(False).range_search_any(windows)
-        positions = sorted(self._index_of[oid] for oid in hits)
-        return np.array([p for p in positions if p != exclude], dtype=np.intp)
+        lo, hi = pack_window_groups([list(windows)], self.dims)
+        centers = None if exclude is None else [exclude]
+        return self.relevance_sets(lo, hi, exclude=centers)[1]
 
     def _positions(self, oids: Sequence[Hashable]) -> np.ndarray:
         """Dataset positions of index payloads (object ids), in order."""
@@ -522,7 +510,7 @@ class UncertainDataset:
         clone._content_digest = None
         return clone
 
-    def snapshot(self, freeze_packed: bool = True) -> "UncertainDataset":
+    def snapshot(self) -> "UncertainDataset":
         """An immutable read snapshot, decoupled from future mutations.
 
         The snapshot shares everything immutable — the objects (with their
@@ -530,21 +518,21 @@ class UncertainDataset:
         arrays, the combined content digest — but owns fresh id maps and
         access counters, so :meth:`apply_delta` on *this* dataset can
         never be observed by a query already running against the snapshot.
-        Cost is O(n) pointer copies plus (``freeze_packed``) one O(n)
-        re-freeze of the packed index from the incrementally patched
-        pointer tree; no O(n log n) rebuild and no sample bytes move.
-
-        ``freeze_packed=False`` skips the packed freeze for scalar-kernel
-        sessions, whose queries traverse the pointer tree instead (the
-        snapshot bulk-loads its own lazily on first use).
+        Cost is O(n) pointer copies plus one O(n) re-freeze of the packed
+        index from the incrementally patched pointer tree; no O(n log n)
+        rebuild and no sample bytes move.
         """
+        clone = self._snapshot_shell()
+        clone._packed = self.packed.with_stats(clone._access_stats)
+        return clone
+
+    def _snapshot_shell(self) -> "UncertainDataset":
+        """A snapshot without an index: copied id maps, shared contents."""
         clone = self._clone_shell(
             list(self._objects), dict(self._by_id), dict(self._index_of)
         )
         clone._tensor = self._tensor
         clone._content_digest = self.content_digest()
-        if freeze_packed:
-            clone._packed = self.packed.with_stats(clone._access_stats)
         return clone
 
     def view(self) -> "UncertainDataset":
@@ -557,20 +545,12 @@ class UncertainDataset:
         meaningful on a dataset that is no longer mutated — views share
         the maps that :meth:`apply_delta` would patch; take views of
         :meth:`snapshot` results, not of the live dataset.
-
-        A view of a scalar-mode snapshot (no packed index) shares the
-        pointer tree *and its counter* lazily through :attr:`rtree`, so
-        per-query node-access deltas may interleave there; the packed
-        path — the serve default — is fully isolated.
         """
         clone = self._clone_shell(self._objects, self._by_id, self._index_of)
         clone._tensor = self._tensor
         clone._content_digest = self._content_digest
         if self._packed is not None:
             clone._packed = self._packed.with_stats(clone._access_stats)
-        elif self._rtree is not None:
-            clone._rtree = self._rtree
-            clone._access_stats = self._access_stats
         return clone
 
     def max_samples(self) -> int:

@@ -14,7 +14,7 @@ unsharded dataset.
 What changes is purely physical:
 
 * ``spatial_index`` returns a :class:`~repro.index.sharded.ShardedIndex`
-  scatter-gather facade over the per-shard indexes;
+  facade over the per-shard packed indexes;
 * :class:`~repro.uncertain.delta.DatasetDelta` ops route to the owning
   shard in O(changed): inserts go to the nearest shard seed center,
   deletes/updates to their owner, and a full STR **rebalance** runs only
@@ -114,7 +114,6 @@ class ShardingMixin:
         self._requested_shards = int(shards)
         self._rebalance_factor = float(rebalance_factor)
         self.rebalances = 0
-        self._scatter: Optional[Any] = None
         self._layout: Optional[PartitionLayout] = None
         self._build_shards(assignment)
 
@@ -222,48 +221,16 @@ class ShardingMixin:
         }
 
     # -- index plumbing -------------------------------------------------
-    def spatial_index(self, use_numpy: Optional[bool] = None):
-        """A :class:`~repro.index.sharded.ShardedIndex` over the shards."""
-        from repro.engine.kernels import resolve_use_numpy
+    def spatial_index(self):
+        """A :class:`~repro.index.sharded.ShardedIndex` over the shards.
+
+        Building it freezes every shard's packed snapshot (which is what
+        ``warm_index`` relies on); the global packed tree is never
+        queried on a sharded dataset, so it stays lazy.
+        """
         from repro.index.sharded import ShardedIndex
 
-        use = resolve_use_numpy(use_numpy)
-        indexes = [
-            shard.packed if use else shard.rtree for shard in self._shards
-        ]
-        scatter = self._scatter
-        if scatter is not None and not (use and scatter.fresh_for(self)):
-            scatter = None
-        return ShardedIndex(indexes, scatter=scatter)
-
-    def warm_index(self, use_numpy: Optional[bool] = None) -> None:
-        """Build every structure this dataset's queries will traverse.
-
-        The numpy path freezes each shard's packed snapshot (the global
-        packed tree is never queried on a sharded dataset, so it stays
-        lazy); the scalar path bulk-loads the global pointer tree (the
-        per-object reverse-skyline test still walks it) plus every shard
-        tree.
-        """
-        from repro.engine.kernels import resolve_use_numpy
-
-        if resolve_use_numpy(use_numpy):
-            for shard in self._shards:
-                shard.packed  # noqa: B018 - freeze per-shard snapshot
-        else:
-            self.rtree  # noqa: B018 - global pointer tree (scalar paths)
-            for shard in self._shards:
-                shard.rtree  # noqa: B018 - per-shard pointer trees
-
-    def attach_scatter(self, scatter: Optional[Any]) -> None:
-        """Install (or clear) a shard scatter pool for batched filters.
-
-        The pool is consulted by ``spatial_index`` only while it is fresh
-        for this dataset's current shard snapshots; after any mutation
-        the identity check fails and filters fall back to in-process
-        execution until a new pool is attached.
-        """
-        self._scatter = scatter
+        return ShardedIndex([shard.packed for shard in self._shards])
 
     # -- delta routing ---------------------------------------------------
     def _shard_limit(self) -> int:
@@ -335,7 +302,6 @@ class ShardingMixin:
         clone._requested_shards = self._requested_shards
         clone._rebalance_factor = self._rebalance_factor
         clone.rebalances = self.rebalances
-        clone._scatter = None  # pools never cross snapshot boundaries
         clone._layout = self._layout
         clone._shard_centers = self._shard_centers
         clone._owner = dict(self._owner)
@@ -350,16 +316,12 @@ class ShardingMixin:
                 shard._packed.stats = clone._access_stats
         clone._shards = shards
 
-    def snapshot(self, freeze_packed: bool = True):
-        # freeze_packed applies per shard; the *global* packed tree is
-        # never traversed on a sharded dataset, so it is not frozen.
-        clone = super().snapshot(freeze_packed=False)
+    def snapshot(self):
+        # Only the shards freeze: the *global* packed tree is never
+        # traversed on a sharded dataset.
+        clone = self._snapshot_shell()
         self._adopt_shard_clones(
-            clone,
-            [
-                shard.snapshot(freeze_packed=freeze_packed)
-                for shard in self._shards
-            ],
+            clone, [shard.snapshot() for shard in self._shards]
         )
         return clone
 

@@ -14,7 +14,7 @@ the dataset into
 * ``mask`` — ``(n, S_max)`` bool validity mask (``True`` for real samples).
 
 Row order is dataset order, which is the canonical Eq. (2) product order
-used by both the tensor and the scalar probability paths.  The tensor is
+used by both the tensor kernels and the scalar reference.  The tensor is
 built lazily by :attr:`repro.uncertain.dataset.UncertainDataset.tensor`
 and cached for the dataset's lifetime — sound because
 :class:`~repro.uncertain.object.UncertainObject` arrays are immutable.

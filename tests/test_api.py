@@ -335,21 +335,6 @@ class TestRegistryExtension:
 
 
 class TestLegacyShims:
-    def test_run_warns_and_returns_raw_payload(self, uncertain_ds):
-        session = Session(uncertain_ds)
-        spec = PRSQSpec(q=Q, alpha=0.5, want="non_answers")
-        with pytest.warns(DeprecationWarning, match="Session.run"):
-            raw = session.run(spec)
-        assert raw == session.query(spec).to_raw()
-        assert isinstance(raw, list)
-
-    def test_execute_warns_and_returns_outcome(self, uncertain_ds):
-        session = Session(uncertain_ds)
-        spec = PRSQSpec(q=Q, alpha=0.5)
-        with pytest.warns(DeprecationWarning, match="Session.execute"):
-            outcome = session.execute(spec)
-        assert outcome.value == session.query(spec).to_raw()
-
     def test_query_does_not_warn(self, uncertain_ds):
         session = Session(uncertain_ds)
         with warnings.catch_warnings():

@@ -17,6 +17,7 @@ from repro.datasets.synthetic_certain import generate_certain_dataset
 from repro.datasets.synthetic_uncertain import generate_uncertain_dataset
 from repro.prsq.probability import reverse_skyline_probability
 from repro.prsq.query import prsq_non_answers
+from tests import reference
 from tests.conftest import make_uncertain_dataset
 
 
@@ -96,8 +97,8 @@ class TestProbabilityDeterminism:
         ds = self._dataset()
         q = random_query(2, seed=31)
         for oid in ds.ids()[:15]:
-            fast = reverse_skyline_probability(ds, oid, q, use_numpy=True)
-            slow = reverse_skyline_probability(ds, oid, q, use_numpy=False)
+            fast = reverse_skyline_probability(ds, oid, q)
+            slow = reference.prsq_probability(ds, oid, q)
             assert fast.hex() == slow.hex()
 
 

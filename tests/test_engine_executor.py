@@ -54,9 +54,9 @@ class TestParallelParity:
         assert_same_outcomes(serial, parallel)
 
     def test_mixed_causality_batch(self, uncertain_session):
-        non_answers = uncertain_session.execute(
+        non_answers = uncertain_session.query(
             PRSQSpec(q=Q, alpha=ALPHA, want="non_answers")
-        ).value
+        ).to_raw()
         specs = [
             CausalitySpec(an=an, q=Q, alpha=ALPHA) for an in non_answers[:6]
         ] + [PRSQSpec(q=Q, alpha=ALPHA)]
@@ -67,7 +67,7 @@ class TestParallelParity:
         assert_same_outcomes(serial, parallel)
 
     def test_certain_batch(self, certain_session):
-        skyline = certain_session.execute(ReverseSkylineSpec(q=Q)).value
+        skyline = certain_session.query(ReverseSkylineSpec(q=Q)).to_raw()
         an = next(
             oid
             for oid in certain_session.dataset.ids()

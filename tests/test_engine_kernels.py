@@ -1,8 +1,7 @@
-"""Parity tests: vectorized engine kernels vs. scalar reference paths.
+"""Parity tests: vectorized engine kernels vs. scalar references.
 
-The engine may freely pick either implementation per session, so the two
-paths must be *bit-compatible* — identical boolean masks and counts, not
-merely approximately equal sets.
+Each kernel must be *bit-identical* to its scalar reference — identical
+boolean masks and counts, not merely approximately equal sets.
 """
 
 import numpy as np
@@ -14,6 +13,8 @@ from repro.geometry.rectangle import Rect
 from repro.skyline.reverse import reverse_skyline, reverse_skyline_bruteforce
 from repro.skyline.skyband import reverse_k_skyband
 from repro.uncertain.dataset import CertainDataset
+
+from tests import reference
 
 
 @pytest.fixture
@@ -32,9 +33,11 @@ class TestDominanceMask:
             points = random_points(rng, n, d)
             target = rng.uniform(0, 10, size=d)
             center = rng.uniform(0, 10, size=d)
-            fast = kernels.dominance_mask(points, target, center, use_numpy=True)
-            slow = kernels.dominance_mask(points, target, center, use_numpy=False)
-            np.testing.assert_array_equal(fast, slow)
+            fast = kernels.dominance_mask(points, target, center)
+            slow = [
+                dynamically_dominates(point, target, center) for point in points
+            ]
+            assert fast.tolist() == slow
 
     def test_matches_scalar_predicate(self, rng):
         points = random_points(rng, 30, 2)
@@ -45,14 +48,15 @@ class TestDominanceMask:
             assert mask[k] == dynamically_dominates(points[k], target, center)
 
     def test_boundary_ties_identical(self):
-        # Mirror points tie q's distance exactly: never dominating, and both
-        # paths must agree on the exact comparison.
+        # Mirror points tie q's distance exactly: never dominating, and the
+        # kernel must agree with the scalar predicate on the exact comparison.
         center = np.array([4.0, 4.0])
         target = np.array([5.0, 5.0])
         points = np.array([[3.0, 3.0], [3.0, 4.5], [5.0, 3.0], [4.0, 4.0]])
-        fast = kernels.dominance_mask(points, target, center, use_numpy=True)
-        slow = kernels.dominance_mask(points, target, center, use_numpy=False)
-        np.testing.assert_array_equal(fast, slow)
+        fast = kernels.dominance_mask(points, target, center)
+        assert fast.tolist() == [
+            dynamically_dominates(point, target, center) for point in points
+        ]
         assert fast.tolist() == [False, True, False, True]
 
 
@@ -61,16 +65,15 @@ class TestDominatorCounts:
     def test_numpy_matches_python(self, rng, n, d):
         points = random_points(rng, n, d)
         q = rng.uniform(0, 10, size=d)
-        fast = kernels.dominator_counts(points, q, use_numpy=True)
-        slow = kernels.dominator_counts(points, q, use_numpy=False)
-        np.testing.assert_array_equal(fast, slow)
+        fast = kernels.dominator_counts(points, q)
+        np.testing.assert_array_equal(fast, reference.dominator_counts(points, q))
 
     def test_chunking_invariant(self, rng, monkeypatch):
         points = random_points(rng, 150, 2)
         q = rng.uniform(0, 10, size=2)
-        whole = kernels.dominator_counts(points, q, use_numpy=True)
+        whole = kernels.dominator_counts(points, q)
         monkeypatch.setattr(kernels, "_CENTER_CHUNK", 7)
-        chunked = kernels.dominator_counts(points, q, use_numpy=True)
+        chunked = kernels.dominator_counts(points, q)
         np.testing.assert_array_equal(whole, chunked)
 
     def test_duplicate_points_dominate_each_other(self):
@@ -87,7 +90,7 @@ class TestReverseSkylineParity:
         points = random_points(rng, n, d, scale=100.0)
         dataset = CertainDataset(points)
         q = rng.uniform(0, 100, size=d)
-        mask = kernels.reverse_skyline_mask(points, q, use_numpy=True)
+        mask = kernels.reverse_skyline_mask(points, q)
         ids = dataset.ids()
         from_kernel = [ids[i] for i in range(n) if mask[i]]
         assert from_kernel == reverse_skyline(dataset, q)
@@ -97,8 +100,8 @@ class TestReverseSkylineParity:
         points = random_points(rng, 40, 2)
         q = rng.uniform(0, 10, size=2)
         np.testing.assert_array_equal(
-            kernels.reverse_skyline_mask(points, q, use_numpy=True),
-            kernels.reverse_skyline_mask(points, q, use_numpy=False),
+            kernels.reverse_skyline_mask(points, q),
+            reference.dominator_counts(points, q) == 0,
         )
 
 
@@ -108,7 +111,7 @@ class TestKSkybandParity:
         points = random_points(rng, 80, 2, scale=100.0)
         dataset = CertainDataset(points)
         q = rng.uniform(0, 100, size=2)
-        mask = kernels.k_skyband_mask(points, q, k, use_numpy=True)
+        mask = kernels.k_skyband_mask(points, q, k)
         ids = dataset.ids()
         from_kernel = [ids[i] for i in range(len(ids)) if mask[i]]
         assert from_kernel == reverse_k_skyband(dataset, q, k)
@@ -132,9 +135,7 @@ class TestWindowKernels:
         windows = [
             Rect(rng.uniform(0, 4, 2), rng.uniform(6, 10, 2)) for _ in range(5)
         ]
-        fast = kernels.points_in_any_window(points, windows, use_numpy=True)
-        slow = kernels.points_in_any_window(points, windows, use_numpy=False)
-        np.testing.assert_array_equal(fast, slow)
+        fast = kernels.points_in_any_window(points, windows)
         for i in range(points.shape[0]):
             assert fast[i] == any(w.contains_point(points[i]) for w in windows)
 

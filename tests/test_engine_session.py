@@ -28,8 +28,12 @@ from repro.prsq.query import (
     prsq_probabilities,
 )
 from repro.rtopk.query import WeightSet, reverse_top_k
-from repro.skyline.reverse import reverse_skyline
-from repro.skyline.skyband import compute_causality_k_skyband, reverse_k_skyband
+from repro.skyline.reverse import reverse_skyline, reverse_skyline_bruteforce
+from repro.skyline.skyband import (
+    compute_causality_k_skyband,
+    is_reverse_k_skyband,
+    reverse_k_skyband,
+)
 from repro.uncertain.dataset import CertainDataset, UncertainDataset
 from repro.uncertain.object import UncertainObject
 from repro.uncertain.pdf import UniformBoxObject
@@ -52,54 +56,63 @@ def certain_ds():
 class TestUncertainQueries:
     def test_prsq_matches_direct(self, uncertain_ds):
         session = Session(uncertain_ds)
-        answers = session.execute(PRSQSpec(q=Q, alpha=ALPHA)).value
+        answers = session.query(PRSQSpec(q=Q, alpha=ALPHA)).to_raw()
         assert answers == probabilistic_reverse_skyline(uncertain_ds, Q, ALPHA)
-        nas = session.execute(PRSQSpec(q=Q, alpha=ALPHA, want="non_answers"))
-        assert nas.value == prsq_non_answers(uncertain_ds, Q, ALPHA)
-        probs = session.execute(PRSQSpec(q=Q, alpha=ALPHA, want="probabilities"))
-        assert probs.value == prsq_probabilities(uncertain_ds, Q)
+        nas = session.query(PRSQSpec(q=Q, alpha=ALPHA, want="non_answers"))
+        assert nas.to_raw() == prsq_non_answers(uncertain_ds, Q, ALPHA)
+        probs = session.query(PRSQSpec(q=Q, alpha=ALPHA, want="probabilities"))
+        assert probs.to_raw() == prsq_probabilities(uncertain_ds, Q)
 
     def test_causality_matches_direct(self, uncertain_ds):
         session = Session(uncertain_ds)
-        an = session.execute(PRSQSpec(q=Q, alpha=ALPHA, want="non_answers")).value[0]
-        engine_result = session.execute(
+        an = session.query(PRSQSpec(q=Q, alpha=ALPHA, want="non_answers")).to_raw()[0]
+        engine_result = session.query(
             CausalitySpec(an=an, q=Q, alpha=ALPHA)
-        ).value
+        ).to_raw()
         direct = compute_causality(uncertain_ds, an, Q, ALPHA)
         assert engine_result.same_causality(direct)
 
     def test_certain_spec_rejected_on_uncertain_session(self, uncertain_ds):
         session = Session(uncertain_ds)
         with pytest.raises(TypeError):
-            session.execute(ReverseSkylineSpec(q=Q))
+            session.query(ReverseSkylineSpec(q=Q))
 
 
 class TestCertainQueries:
-    def test_reverse_skyline_both_kernel_paths(self, certain_ds):
-        expected = reverse_skyline(certain_ds, Q)
-        for use_numpy in (True, False):
-            session = Session(certain_ds, use_numpy=use_numpy)
-            assert session.execute(ReverseSkylineSpec(q=Q)).value == expected
+    def test_reverse_skyline_both_kernel_paths(self, certain_ds, monkeypatch):
+        import repro.engine.plan as plan_module
 
-    def test_k_skyband_both_kernel_paths(self, certain_ds):
-        expected = reverse_k_skyband(certain_ds, Q, 3)
-        for use_numpy in (True, False):
-            session = Session(certain_ds, use_numpy=use_numpy)
-            assert (
-                session.execute(ReverseKSkybandSpec(q=Q, k=3)).value == expected
-            )
+        expected = reverse_skyline_bruteforce(certain_ds, Q)
+        spec = ReverseSkylineSpec(q=Q)
+        # the dense broadcast kernel, then (past its size cap) the
+        # batched packed windows: both against the quadratic reference
+        assert Session(certain_ds).query(spec).to_raw() == expected
+        monkeypatch.setattr(plan_module, "VECTORIZED_MAX_N", 1)
+        assert Session(certain_ds).query(spec).to_raw() == expected
+
+    def test_k_skyband_both_kernel_paths(self, certain_ds, monkeypatch):
+        import repro.engine.plan as plan_module
+
+        expected = [
+            oid for oid in certain_ds.ids()
+            if is_reverse_k_skyband(certain_ds, oid, Q, 3)
+        ]
+        spec = ReverseKSkybandSpec(q=Q, k=3)
+        assert Session(certain_ds).query(spec).to_raw() == expected
+        monkeypatch.setattr(plan_module, "VECTORIZED_MAX_N", 1)
+        assert Session(certain_ds).query(spec).to_raw() == expected
 
     def test_cr_causality_matches_direct(self, certain_ds):
         session = Session(certain_ds)
-        skyline = set(session.execute(ReverseSkylineSpec(q=Q)).value)
+        skyline = set(session.query(ReverseSkylineSpec(q=Q)).to_raw())
         an = next(oid for oid in certain_ds.ids() if oid not in skyline)
-        engine_result = session.execute(CausalityCertainSpec(an=an, q=Q)).value
+        engine_result = session.query(CausalityCertainSpec(an=an, q=Q)).to_raw()
         assert engine_result.same_causality(
             compute_causality_certain(certain_ds, an, Q)
         )
-        skyband_result = session.execute(
+        skyband_result = session.query(
             KSkybandCausalitySpec(an=an, q=Q, k=1)
-        ).value
+        ).to_raw()
         assert skyband_result.same_causality(
             compute_causality_k_skyband(certain_ds, an, Q, 1)
         )
@@ -107,9 +120,9 @@ class TestCertainQueries:
     def test_reverse_top_k_matches_direct(self, certain_ds):
         weights = ((1.0, 0.3), (0.2, 1.0))
         session = Session(certain_ds)
-        value = session.execute(
+        value = session.query(
             ReverseTopKSpec(q=(800.0, 900.0), k=5, weights=weights)
-        ).value
+        ).to_raw()
         users = WeightSet([list(w) for w in weights])
         assert value == reverse_top_k(certain_ds, users, (800.0, 900.0), 5)
 
@@ -135,30 +148,30 @@ class TestPdfSession:
             samples_per_object=32,
             rng=np.random.default_rng(0),
         )
-        engine_result = session.execute(
+        engine_result = session.query(
             PdfCausalitySpec(an="a", q=q, alpha=alpha)
-        ).value
+        ).to_raw()
         assert engine_result.same_causality(direct)
 
     def test_pdf_spec_requires_pdf_session(self):
         session = Session(generate_uncertain_dataset(10, 2, seed=1))
         with pytest.raises(TypeError):
-            session.execute(PdfCausalitySpec(an="a", q=(5.0, 5.0), alpha=0.5))
+            session.query(PdfCausalitySpec(an="a", q=(5.0, 5.0), alpha=0.5))
 
     def test_unknown_pdf_object(self):
         session = Session.from_pdf_objects(self._objects())
         with pytest.raises(KeyError):
-            session.execute(PdfCausalitySpec(an="zzz", q=(5.0, 5.0), alpha=0.5))
+            session.query(PdfCausalitySpec(an="zzz", q=(5.0, 5.0), alpha=0.5))
 
 
 class TestCaching:
     def test_hit_miss_accounting(self, uncertain_ds):
         session = Session(uncertain_ds)
         spec = PRSQSpec(q=Q, alpha=ALPHA)
-        first = session.execute(spec)
-        second = session.execute(spec)
-        assert not first.cached and second.cached
-        assert first.value == second.value
+        first = session.query(spec)
+        second = session.query(spec)
+        assert not first.run.cached and second.run.cached
+        assert first.to_raw() == second.to_raw()
         stats = session.cache_stats()
         # Outer result + inner probability map on the miss; one outer hit.
         assert stats["misses"] == 2
@@ -166,9 +179,9 @@ class TestCaching:
 
     def test_probability_map_shared_across_alphas(self, uncertain_ds):
         session = Session(uncertain_ds)
-        session.execute(PRSQSpec(q=Q, alpha=0.4))
+        session.query(PRSQSpec(q=Q, alpha=0.4))
         before = session.cache_stats()["hits"]
-        session.execute(PRSQSpec(q=Q, alpha=0.8))
+        session.query(PRSQSpec(q=Q, alpha=0.8))
         after = session.cache_stats()
         # Different alpha: outer result misses but the alpha-independent
         # probability map hits.
@@ -180,8 +193,8 @@ class TestCaching:
             Session(uncertain_ds, cache_size=0),  # same convention as the CLI
         ):
             spec = PRSQSpec(q=Q, alpha=ALPHA)
-            assert not session.execute(spec).cached
-            assert not session.execute(spec).cached
+            assert not session.query(spec).run.cached
+            assert not session.query(spec).run.cached
             assert session.cache_stats()["hits"] == 0
 
     def test_fingerprint_is_lazy(self):
@@ -208,9 +221,9 @@ class TestCaching:
     def test_caller_mutation_cannot_poison_cache(self, uncertain_ds):
         session = Session(uncertain_ds)
         spec = PRSQSpec(q=Q, alpha=ALPHA)
-        first = session.execute(spec).value
+        first = session.query(spec).to_raw()
         first.clear()
-        assert session.execute(spec).value  # still the cached answer set
+        assert session.query(spec).to_raw()  # still the cached answer set
         probs = session.prsq_probabilities(Q)
         probs.clear()
         assert session.prsq_probabilities(Q)
@@ -220,14 +233,14 @@ class TestCaching:
 
         session = Session(uncertain_ds)
         with pytest.raises(SpecMismatchError) as excinfo:
-            session.execute(ReverseSkylineSpec(q=Q))
+            session.query(ReverseSkylineSpec(q=Q))
         assert isinstance(excinfo.value, ReproError)
         assert isinstance(excinfo.value, TypeError)
 
     def test_lru_eviction(self, uncertain_ds):
         session = Session(uncertain_ds, cache=LRUCache(maxsize=2))
         for i in range(4):
-            session.execute(PRSQSpec(q=(4000.0 + i, 5000.0), alpha=ALPHA))
+            session.query(PRSQSpec(q=(4000.0 + i, 5000.0), alpha=ALPHA))
         assert session.cache_stats()["evictions"] > 0
         assert len(session.cache) <= 2
 
@@ -262,28 +275,28 @@ class TestFingerprintInvalidation:
         cache = LRUCache(maxsize=64)
         spec = PRSQSpec(q=(5.0, 5.0), alpha=0.5)
         first = Session(self._tiny(), cache=cache)
-        first.execute(spec)
+        first.query(spec)
         hits_after_first = cache.stats.hits
 
         # Same contents, new session object: the fingerprint matches, so the
         # shared cache serves the result.
         twin = Session(self._tiny(), cache=cache)
-        assert twin.execute(spec).cached
+        assert twin.query(spec).run.cached
         assert cache.stats.hits == hits_after_first + 1
 
         # Modified contents: same spec must MISS — never a stale answer.
         changed = Session(self._tiny(shift=2.0), cache=cache)
-        outcome = changed.execute(spec)
-        assert not outcome.cached
+        outcome = changed.query(spec)
+        assert not outcome.run.cached
 
     def test_replace_dataset_invalidates(self):
         session = Session(self._tiny())
         spec = PRSQSpec(q=(5.0, 5.0), alpha=0.5, want="probabilities")
-        before = session.execute(spec).value
+        before = session.query(spec).to_raw()
         session.replace_dataset(self._tiny(shift=2.0))
-        outcome = session.execute(spec)
-        assert not outcome.cached
-        assert outcome.value != before
+        outcome = session.query(spec)
+        assert not outcome.run.cached
+        assert outcome.to_raw() != before
 
 
 class TestSpecLayer:
@@ -356,8 +369,8 @@ class TestSpecLayer:
         expected = reverse_skyline(certain_ds, Q)
         monkeypatch.setattr(plan_module, "VECTORIZED_MAX_N", 1)
         session = Session(certain_ds)  # n > 1: planner must pick the R-tree path
-        assert session.execute(ReverseSkylineSpec(q=Q)).value == expected
-        assert session.execute(ReverseKSkybandSpec(q=Q, k=2)).value == (
+        assert session.query(ReverseSkylineSpec(q=Q)).to_raw() == expected
+        assert session.query(ReverseKSkybandSpec(q=Q, k=2)).to_raw() == (
             reverse_k_skyband(certain_ds, Q, 2)
         )
 

@@ -122,3 +122,27 @@ class TestBruteForce:
         res = brute_force_causality(ds, "an", [3.0, 3.0], 0.5)
         assert res.cause_ids() == ["cf"]
         assert res.responsibility("cf") == 1.0
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_independent_of_optimized_kernels(self, seed, monkeypatch):
+        # The ground truth must share no kernel with CP: with the segmented
+        # Eq. (2), the Eq. (3) tensor and the packed grouped traversal all
+        # broken, it still returns exactly the causes it returns intact.
+        from repro.engine import kernels
+        from repro.index.packed import PackedRTree
+
+        rng = np.random.default_rng(seed)
+        ds = make_uncertain_dataset(rng, n=7, dims=2)
+        q = rng.uniform(0, 10, size=2)
+        nas = prsq_non_answers(ds, q, 0.5, use_index=False)
+        expected = [brute_force_causality(ds, an, q, 0.5) for an in nas]
+
+        def broken(*args, **kwargs):
+            raise AssertionError("brute force reached an optimized kernel")
+
+        monkeypatch.setattr(kernels, "eq2_segmented", broken)
+        monkeypatch.setattr(kernels, "eq3_dominance_tensor", broken)
+        monkeypatch.setattr(PackedRTree, "group_hits", broken)
+        for an, want in zip(nas, expected):
+            got = brute_force_causality(ds, an, q, 0.5)
+            assert got.causes == want.causes

@@ -88,7 +88,7 @@ def assert_query_parity(tree: RTree, packed: PackedRTree, rng) -> None:
     # truncated the final non-empty group's reduceat segment (regression).
     groups = [_windows(rng, 3), [], _windows(rng, 1), _windows(rng, 6), []]
     p_res, p_stats = _measured(
-        tree, lambda t: t.range_search_any_grouped(groups)
+        tree, lambda t: [t.range_search_any(group) for group in groups]
     )
     k_res, k_stats = _measured(
         packed, lambda p: p.range_search_any_grouped(groups)
@@ -187,8 +187,7 @@ class TestCanonicalRangeSearchAny:
 class TestDatasetIntegration:
     def test_spatial_index_selection_and_shared_stats(self, rng):
         dataset = make_uncertain_dataset(rng, n=40)
-        assert dataset.spatial_index(False) is dataset.rtree
-        assert dataset.spatial_index(True) is dataset.packed
+        assert dataset.spatial_index() is dataset.packed
         assert dataset.rtree.stats is dataset.access_stats
         assert dataset.packed.stats is dataset.access_stats
 
@@ -251,25 +250,18 @@ class TestWorkerHandoff:
         assert payload["packed"] is None  # laziness inherited end to end
         assert dataset._rtree is None  # _initargs itself stayed lazy
 
-        eager = Session(make_uncertain_dataset(rng, n=15), use_numpy=True)
+        eager = Session(make_uncertain_dataset(rng, n=15))
         payload, _pdf, kwargs, _traced, _plan = ParallelExecutor(
             workers=2
         )._initargs(eager)
-        assert kwargs["build_index"] is True
+        assert kwargs == {"build_index": True, "cache_size": 4096}
         assert payload["packed"] is not None
-
-        scalar = Session(make_uncertain_dataset(rng, n=15), use_numpy=False)
-        scalar.dataset.packed  # frozen by someone else (e.g. shared dataset)
-        payload, _pdf, kwargs, _traced, _plan = ParallelExecutor(
-            workers=2
-        )._initargs(scalar)
-        assert payload["packed"] is None  # scalar workers never query it
 
     def test_numpy_session_on_adopted_snapshot_never_builds_pointer(self, rng):
         dataset = make_uncertain_dataset(rng, n=20)
-        parent = Session(dataset, use_numpy=True)
+        parent = Session(dataset)
         restored = _restore_dataset(_dataset_payload(dataset))
-        worker = Session(restored, use_numpy=True, build_index=True)
+        worker = Session(restored, build_index=True)
         spec = PRSQSpec(q=(5.0, 5.0), alpha=0.5, want="probabilities")
         theirs = worker.query(spec).value.probabilities
         ours = parent.query(spec).value.probabilities

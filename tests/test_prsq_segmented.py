@@ -37,6 +37,7 @@ from repro.uncertain.dataset import UncertainDataset
 from repro.uncertain.object import UncertainObject
 from repro.uncertain.sharded import shard_dataset
 
+from tests import reference
 from tests.conftest import make_uncertain_dataset
 
 SLOW = settings(
@@ -117,7 +118,7 @@ class TestRelevanceSets:
         centers = np.arange(len(dataset))
         offsets, positions = dataset.relevance_sets(lo, hi, exclude=centers)
         assert offsets.shape == (len(dataset) + 1,) and offsets[0] == 0
-        plain = UncertainDataset(base.objects()).spatial_index(True)
+        plain = UncertainDataset(base.objects()).spatial_index()
         for center, windows in enumerate(_windows_per_object(dataset, q)):
             hits = [base.index_of(o) for o in plain.range_search_any(windows)]
             expected = sorted(p for p in hits if p != center)
@@ -159,12 +160,11 @@ class TestRelevanceSets:
         assert wide.node_accesses == narrow.node_accesses
 
     @pytest.mark.parametrize("shards", [1, 3])
-    @pytest.mark.parametrize("use_numpy", [True, False])
-    def test_window_positions_excludes_and_sorts(self, rng, use_numpy, shards):
+    def test_window_positions_excludes_and_sorts(self, rng, shards):
         base = make_uncertain_dataset(rng, 30)
         dataset = base if shards == 1 else shard_dataset(base, shards)
         windows = _windows_per_object(dataset, [5.0, 5.0])[4]
-        got = dataset.window_positions(windows, exclude=4, use_numpy=use_numpy)
+        got = dataset.window_positions(windows, exclude=4)
         hits = base.rtree.range_search_any(windows)
         assert got.tolist() == sorted(
             base.index_of(oid) for oid in hits if oid != 4
@@ -220,10 +220,8 @@ class TestSegmentedEq2:
             centers, offsets, rows, q,
         )
         for value, center in zip(got.tolist(), centers.tolist()):
-            reference = reverse_skyline_probability(
-                dataset, center, q, use_index=False, use_numpy=False
-            )
-            assert value.hex() == reference.hex()
+            expected = reference.prsq_probability(dataset, center, q)
+            assert value.hex() == expected.hex()
 
     def test_blocking_and_empty_segments(self, rng, monkeypatch):
         dataset = make_uncertain_dataset(rng, 25, max_samples=4)
@@ -280,14 +278,15 @@ class TestBatchedPRSQ:
         dataset = base if shards == 1 else shard_dataset(base, shards)
         q = rng.uniform(0.0, 10.0, size=2)
         batched = prsq_probability_map(dataset, q)
-        for use_numpy in (True, False):
-            looped = {
-                oid: reverse_skyline_probability(
-                    base, oid, q, use_numpy=use_numpy
-                ).hex()
-                for oid in base.ids()
-            }
-            assert {k: v.hex() for k, v in batched.items()} == looped
+        looped = {
+            oid: reverse_skyline_probability(base, oid, q).hex()
+            for oid in base.ids()
+        }
+        scalar = {
+            oid: reference.prsq_probability(base, oid, q).hex()
+            for oid in base.ids()
+        }
+        assert {k: v.hex() for k, v in batched.items()} == looped == scalar
         assert list(batched) == base.ids()
 
 

@@ -1,11 +1,10 @@
 """Bit-compatibility of the tensorized Eq. (2)/(3) kernels.
 
-The engine may pick the tensor path or the scalar reference per session,
-so the two must agree to the last bit — on the Eq. (3) matrix entries
-(vs. ``sample_dominance_probability``), on the Eq. (2) reduction
-(vs. ``probability_from_matrix``), on ragged sample counts (exercising the
-padding mask), and on the restricted ``exclude``/``keep`` evaluations CP
-and CR lean on.
+The tensor kernels must agree with the scalar reference to the last bit —
+on the Eq. (3) matrix entries (vs. ``sample_dominance_probability``), on
+the Eq. (2) reduction (vs. ``probability_from_matrix``), on ragged sample
+counts (exercising the padding mask), and on the restricted
+``exclude``/``keep`` evaluations CP and CR lean on.
 """
 
 import numpy as np
@@ -13,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.core.candidates import can_influence
 from repro.engine import kernels
 from repro.prsq.probability import (
     dominance_probability_matrix,
@@ -25,6 +25,8 @@ from repro.prsq.probability import (
 from repro.uncertain.dataset import UncertainDataset
 from repro.uncertain.object import UncertainObject
 from repro.uncertain.tensor import DatasetTensor
+
+from tests import reference
 
 coordinate = st.floats(
     min_value=0.0, max_value=10.0, allow_nan=False, allow_infinity=False
@@ -112,12 +114,8 @@ class TestEq3Parity:
             others = [i for i, obj in enumerate(ds) if obj.oid != center.oid]
             samples, probs, mask = tensor.rows(others)
             fast = kernels.eq3_dominance_tensor(
-                center.samples, samples, probs, mask, q, use_numpy=True
+                center.samples, samples, probs, mask, q
             )
-            slow = kernels.eq3_dominance_tensor(
-                center.samples, samples, probs, mask, q, use_numpy=False
-            )
-            np.testing.assert_array_equal(fast, slow)
             objects = ds.objects()
             for j, i in enumerate(others):
                 reference = dominance_probability_vector(objects[i], center, q)
@@ -131,7 +129,7 @@ class TestEq3Parity:
         others = list(range(1, len(ds)))
         samples, probs, mask = tensor.rows(others)
         eq3 = kernels.eq3_dominance_tensor(
-            center.samples, samples, probs, mask, q, use_numpy=True
+            center.samples, samples, probs, mask, q
         )
         objects = ds.objects()
         for j, i in enumerate(others):
@@ -168,13 +166,10 @@ class TestEq2Parity:
     def test_full_probability_bitwise_equal(self, ds, q):
         for oid in ds.ids():
             values = {
-                reverse_skyline_probability(
-                    ds, oid, q, use_index=ui, use_numpy=un
-                ).hex()
+                reverse_skyline_probability(ds, oid, q, use_index=ui).hex()
                 for ui in (True, False)
-                for un in (True, False)
             }
-            assert len(values) == 1
+            assert values == {reference.prsq_probability(ds, oid, q).hex()}
 
     @SLOW
     @given(ds=ragged_dataset_strategy(), q=point2d, data=st.data())
@@ -182,12 +177,8 @@ class TestEq2Parity:
         oid = ds.ids()[0]
         removable = [o for o in ds.ids() if o != oid]
         excluded = data.draw(st.sets(st.sampled_from(removable)))
-        fast = reverse_skyline_probability(
-            ds, oid, q, exclude=excluded, use_numpy=True
-        )
-        slow = reverse_skyline_probability(
-            ds, oid, q, exclude=excluded, use_numpy=False
-        )
+        fast = reverse_skyline_probability(ds, oid, q, exclude=excluded)
+        slow = reference.prsq_probability(ds, oid, q, exclude=excluded)
         assert fast.hex() == slow.hex()
 
     @SLOW
@@ -199,18 +190,15 @@ class TestEq2Parity:
             center, (ds.objects()[i] for i in others), q
         )
         tensor = ds.tensor
-        samples, probs, mask = tensor.rows(others)
-        eq3 = kernels.eq3_dominance_tensor(
-            center.samples, samples, probs, mask, q, use_numpy=True
-        )
         keep = sorted(data.draw(st.sets(st.sampled_from(others))))
-        reference = probability_from_matrix(
+        expected = probability_from_matrix(
             center, matrix, keep=[tensor.ids[i] for i in keep]
         )
-        rows = [others.index(i) for i in keep]
-        assert kernels.eq2_probability(
-            center.probabilities, eq3, rows=rows
-        ).hex() == reference.hex()
+        got = kernels.eq2_segmented(
+            tensor.samples, tensor.probabilities, tensor.mask,
+            [0], [0, len(keep)], keep, q,
+        )
+        assert float(got[0]).hex() == expected.hex()
 
 
 class TestInfluenceMaskParity:
@@ -221,13 +209,11 @@ class TestInfluenceMaskParity:
         center = ds.objects()[0]
         others = list(range(1, len(ds)))
         samples, _, mask = tensor.rows(others)
-        fast = kernels.influence_mask(
-            center.samples, samples, mask, q, use_numpy=True
-        )
-        slow = kernels.influence_mask(
-            center.samples, samples, mask, q, use_numpy=False
-        )
-        np.testing.assert_array_equal(fast, slow)
+        fast = kernels.influence_mask(center.samples, samples, mask, q)
+        objects = ds.objects()
+        assert fast.tolist() == [
+            can_influence(objects[i], center, q) for i in others
+        ]
         # Non-zero Eq. (3) vector <=> influencing (Lemma 1).
         eq3 = kernels.eq3_dominance_tensor(
             center.samples, samples, tensor.rows(others)[1], mask, q
@@ -266,10 +252,10 @@ class TestMonteCarloKernelParity:
         q = rng.uniform(0, 10, size=2)
         oid = ds.ids()[0]
         fast = sample_reverse_skyline_probability(
-            ds, oid, q, worlds=400, seed=seed, use_numpy=True
+            ds, oid, q, worlds=400, seed=seed
         )
-        slow = sample_reverse_skyline_probability(
-            ds, oid, q, worlds=400, seed=seed, use_numpy=False
+        slow = reference.monte_carlo_probability(
+            ds, oid, q, worlds=400, seed=seed
         )
         assert fast.value == slow.value
         assert fast.worlds == slow.worlds

@@ -6,8 +6,7 @@ STR-sharded stack — :func:`~repro.index.bulk.str_partition` coverage,
 :class:`~repro.uncertain.sharded.PartitionLayout` digests,
 :class:`~repro.index.sharded.ShardedIndex` hit-set parity, delta routing
 and rebalance triggers, layout-aware cache keys, executor payload
-round-trips, :class:`~repro.engine.executor.ShardScatter` freshness, and
-the serve/CLI surfaces.
+round-trips, and the serve/CLI surfaces.
 """
 
 import asyncio
@@ -23,10 +22,10 @@ from repro.engine import (
     PRSQSpec,
     ReverseSkylineSpec,
     Session,
-    ShardScatter,
 )
 from repro.geometry.rectangle import Rect
 from repro.index import ShardedIndex, str_partition
+from repro.index.packed import pack_window_groups
 from repro.io.cli import main
 from repro.uncertain import (
     CertainDataset,
@@ -168,13 +167,15 @@ class TestShardedDataset:
 # ShardedIndex hit-set parity
 # ----------------------------------------------------------------------
 class TestShardedIndexParity:
-    @pytest.mark.parametrize("use_numpy", [True, False])
+    @pytest.mark.parametrize("plain_packed", [True, False])
     @pytest.mark.parametrize("k", [2, 3, 8])
-    def test_all_four_calls_match_plain_index(self, rng, use_numpy, k):
+    def test_all_four_calls_match_plain_index(self, rng, plain_packed, k):
+        # against the unsharded packed snapshot and the pointer tree it
+        # freezes from (the reference)
         dataset = make_uncertain_dataset(rng, 60)
         sharded = shard_dataset(UncertainDataset(dataset.objects()), k)
-        plain = dataset.spatial_index(use_numpy)
-        index = sharded.spatial_index(use_numpy)
+        plain = dataset.packed if plain_packed else dataset.rtree
+        index = sharded.spatial_index()
         assert isinstance(index, ShardedIndex)
         assert index.shard_count == sharded.shard_count
 
@@ -191,22 +192,24 @@ class TestShardedIndexParity:
         for got, want in zip(sharded_many, plain_many):
             assert sorted(got, key=repr) == sorted(want, key=repr)
         groups = [windows[:5], [], windows[5:9], windows[9:]]
-        sharded_grouped = index.range_search_any_grouped(groups)
-        plain_grouped = plain.range_search_any_grouped(groups)
-        for got, want in zip(sharded_grouped, plain_grouped):
-            assert got == sorted(want, key=repr)
+        hit_groups, entries = index.group_hits(*pack_window_groups(groups, 2))
+        payloads = index.entry_payloads(entries)
+        for g, group in enumerate(groups):
+            got = [p for h, p in zip(hit_groups.tolist(), payloads) if h == g]
+            assert sorted(got, key=repr) == plain.range_search_any(group)
 
     def test_empty_window_list(self, rng):
         sharded = shard_dataset(make_uncertain_dataset(rng, 12), 3)
-        index = sharded.spatial_index(True)
+        index = sharded.spatial_index()
         assert index.range_search_many([]) == []
-        assert index.range_search_any_grouped([]) == []
+        groups, entries = index.group_hits(*pack_window_groups([], 2))
+        assert groups.size == entries.size == 0
 
     def test_window_pruning_counts(self, rng):
         from repro import obs
 
         sharded = shard_dataset(make_uncertain_dataset(rng, 60), 6)
-        index = sharded.spatial_index(True)
+        index = sharded.spatial_index()
         registry = obs.registry()
         before_pairs = registry.counter("shard.filter.window_pairs").value
         before_pruned = registry.counter(
@@ -285,7 +288,7 @@ class TestDeltaRouting:
 
 
 # ----------------------------------------------------------------------
-# Engine plumbing: cache keys, plans, executor payloads, scatter pool
+# Engine plumbing: cache keys, plans, executor payloads, snapshots
 # ----------------------------------------------------------------------
 class TestEnginePlumbing:
     def test_session_shards_kwarg_wraps_dataset(self, rng):
@@ -353,31 +356,6 @@ class TestEnginePlumbing:
             k: v.hex() for k, v in expected[0].probabilities.items()
         }
         assert list(outcomes[1].value) == list(expected[1].ids)
-
-    def test_scatter_parity_and_staleness(self, rng):
-        dataset = shard_dataset(make_uncertain_dataset(rng, 40), 4)
-        windows = _windows(rng, 40)
-        baseline = dataset.spatial_index(True).range_search_many(windows)
-        with ShardScatter(dataset, workers=2, min_windows=1) as scatter:
-            assert scatter.fresh_for(dataset)
-            scattered = dataset.spatial_index(True).range_search_many(windows)
-            for got, want in zip(scattered, baseline):
-                assert sorted(got, key=repr) == sorted(want, key=repr)
-            # mutation invalidates the shipped packed snapshots
-            dataset.insert_object(UncertainObject("fresh", [[5.0, 5.0]]))
-            assert not scatter.fresh_for(dataset)
-            after = dataset.spatial_index(True).range_search_many(windows[:4])
-            plain = UncertainDataset(dataset.objects()).spatial_index(True)
-            for got, want in zip(after, plain.range_search_many(windows[:4])):
-                assert sorted(got, key=repr) == sorted(want, key=repr)
-        # closed pool: silently serial again
-        post = dataset.spatial_index(True).range_search_many(windows[:4])
-        for got, want in zip(post, plain.range_search_many(windows[:4])):
-            assert sorted(got, key=repr) == sorted(want, key=repr)
-
-    def test_scatter_rejects_unsharded(self, rng):
-        with pytest.raises(ValueError):
-            ShardScatter(make_uncertain_dataset(rng, 10))
 
     def test_read_snapshot_isolated_from_writer(self, rng):
         session = Session(make_uncertain_dataset(rng, 20), shards=4)

@@ -2,8 +2,8 @@
 
 The sharding tentpole's soundness contract, property-tested the same way
 ``test_updates_stateful.py`` proves update soundness: Hypothesis draws a
-shard count k in {2, 3, 8}, a kernel path, and (for the churn tests) an
-arbitrary interleaving of ``DatasetDelta`` mutations and queries, then
+shard count k in {2, 3, 8} and (for the churn tests) an arbitrary
+interleaving of ``DatasetDelta`` mutations and queries, then
 asserts that a sharded session returns **bit-identical results** to an
 unsharded session over the same contents — probabilities compared via
 ``float.hex``, id lists and causes dicts compared exactly.
@@ -143,17 +143,12 @@ def _assert_certain_parity(plain, sharded):
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     shards=SHARD_COUNTS,
-    use_numpy=st.booleans(),
 )
-def test_uncertain_families_bit_identical(seed, shards, use_numpy):
+def test_uncertain_families_bit_identical(seed, shards):
     rng = np.random.default_rng(seed)
     dataset = _uncertain_dataset(rng)
-    plain = Session(UncertainDataset(dataset.objects()), use_numpy=use_numpy)
-    sharded = Session(
-        UncertainDataset(dataset.objects()),
-        use_numpy=use_numpy,
-        shards=shards,
-    )
+    plain = Session(UncertainDataset(dataset.objects()))
+    sharded = Session(UncertainDataset(dataset.objects()), shards=shards)
     assert sharded.fingerprint == plain.fingerprint
     _assert_uncertain_parity(plain, sharded)
 
@@ -162,18 +157,13 @@ def test_uncertain_families_bit_identical(seed, shards, use_numpy):
 @given(
     seed=st.integers(min_value=0, max_value=2**16),
     shards=SHARD_COUNTS,
-    use_numpy=st.booleans(),
 )
-def test_certain_families_bit_identical(seed, shards, use_numpy):
+def test_certain_families_bit_identical(seed, shards):
     rng = np.random.default_rng(seed)
     dataset = _certain_dataset(rng)
-    plain = Session(
-        CertainDataset(dataset.points.copy(), ids=dataset.ids()),
-        use_numpy=use_numpy,
-    )
+    plain = Session(CertainDataset(dataset.points.copy(), ids=dataset.ids()))
     sharded = Session(
         CertainDataset(dataset.points.copy(), ids=dataset.ids()),
-        use_numpy=use_numpy,
         shards=shards,
     )
     assert sharded.fingerprint == plain.fingerprint
@@ -185,17 +175,12 @@ def test_certain_families_bit_identical(seed, shards, use_numpy):
     op_kinds=OPS,
     seed=st.integers(min_value=0, max_value=2**16),
     shards=SHARD_COUNTS,
-    use_numpy=st.booleans(),
 )
-def test_uncertain_parity_survives_churn(op_kinds, seed, shards, use_numpy):
+def test_uncertain_parity_survives_churn(op_kinds, seed, shards):
     rng = np.random.default_rng(seed)
     dataset = _uncertain_dataset(rng, n=6)
-    plain = Session(UncertainDataset(dataset.objects()), use_numpy=use_numpy)
-    sharded = Session(
-        UncertainDataset(dataset.objects()),
-        use_numpy=use_numpy,
-        shards=shards,
-    )
+    plain = Session(UncertainDataset(dataset.objects()))
+    sharded = Session(UncertainDataset(dataset.objects()), shards=shards)
     _churn([plain, sharded], op_kinds, seed, _uncertain_object)
     # routed deltas + rebalances preserved contents and the incremental
     # fingerprint (shard digests roll up to the same content digest)
@@ -211,18 +196,13 @@ def test_uncertain_parity_survives_churn(op_kinds, seed, shards, use_numpy):
     op_kinds=OPS,
     seed=st.integers(min_value=0, max_value=2**16),
     shards=SHARD_COUNTS,
-    use_numpy=st.booleans(),
 )
-def test_certain_parity_survives_churn(op_kinds, seed, shards, use_numpy):
+def test_certain_parity_survives_churn(op_kinds, seed, shards):
     rng = np.random.default_rng(seed)
     dataset = _certain_dataset(rng, n=8)
-    plain = Session(
-        CertainDataset(dataset.points.copy(), ids=dataset.ids()),
-        use_numpy=use_numpy,
-    )
+    plain = Session(CertainDataset(dataset.points.copy(), ids=dataset.ids()))
     sharded = Session(
         CertainDataset(dataset.points.copy(), ids=dataset.ids()),
-        use_numpy=use_numpy,
         shards=shards,
     )
 

@@ -3,9 +3,9 @@
 Hypothesis drives a random interleaving of live updates and queries
 against one long-lived session, then checks that **every query family
 returns bit-identical results to a fresh session built over the final
-contents** — across ``use_numpy`` on/off (kernel paths) and
-``build_index`` on/off (index lifecycle), with the no-index scalar
-evaluation as an additional pruning-free reference for PRSQ.
+contents** — across ``build_index`` on/off (index lifecycle), with the
+no-index evaluation and the scalar Eq. (3)/(2) reference as additional
+pruning-free references for PRSQ.
 
 Queries are interleaved *during* the churn on purpose: they populate the
 result cache under old fingerprints, so any unsound cache keying or
@@ -31,6 +31,8 @@ from repro.engine import (
 )
 from repro.prsq.query import prsq_probabilities
 from repro.uncertain import CertainDataset, UncertainDataset, UncertainObject
+
+from tests import reference
 
 Q = (5.0, 5.0)
 ALPHA = 0.5
@@ -95,21 +97,20 @@ def _churn(session, op_kinds, rng, make_object, min_objects=3):
 @given(
     op_kinds=OPS,
     seed=st.integers(min_value=0, max_value=2**16),
-    use_numpy=st.booleans(),
     build_index=st.booleans(),
 )
 def test_uncertain_session_parity_after_churn(
-    op_kinds, seed, use_numpy, build_index
+    op_kinds, seed, build_index
 ):
     rng = np.random.default_rng(seed)
     dataset = UncertainDataset(
         [_uncertain_object(f"o{i}", rng) for i in range(6)]
     )
-    session = Session(dataset, use_numpy=use_numpy, build_index=build_index)
+    session = Session(dataset, build_index=build_index)
     _churn(session, op_kinds, rng, _uncertain_object)
 
     rebuilt = _rebuild_uncertain(session.dataset)
-    fresh = Session(rebuilt, use_numpy=use_numpy, build_index=build_index)
+    fresh = Session(rebuilt, build_index=build_index)
 
     # incremental fingerprint == full recompute over the final contents
     assert session.fingerprint == fresh.fingerprint
@@ -119,10 +120,12 @@ def test_uncertain_session_parity_after_churn(
     ref = fresh.query(spec).value.probabilities
     assert _bits(live) == _bits(ref)
 
-    # pruning-free scalar reference: the R-tree maintained through churn
-    # must not have changed a single bit
-    unpruned = prsq_probabilities(rebuilt, Q, use_index=False, use_numpy=use_numpy)
+    # pruning-free references: the R-tree maintained through churn must
+    # not have changed a single bit
+    unpruned = prsq_probabilities(rebuilt, Q, use_index=False)
     assert _bits(live) == _bits(unpruned)
+    scalar = {oid: reference.prsq_probability(rebuilt, oid, Q) for oid in live}
+    assert _bits(live) == _bits(scalar)
 
     for want in ("answers", "non_answers"):
         live_ids = session.query(PRSQSpec(q=Q, alpha=ALPHA, want=want)).value
@@ -147,17 +150,16 @@ def _certain_object(oid, rng):
 @given(
     op_kinds=OPS,
     seed=st.integers(min_value=0, max_value=2**16),
-    use_numpy=st.booleans(),
     build_index=st.booleans(),
 )
 def test_certain_session_parity_after_churn(
-    op_kinds, seed, use_numpy, build_index
+    op_kinds, seed, build_index
 ):
     rng = np.random.default_rng(seed)
     dataset = CertainDataset(
         rng.uniform(0.0, 10.0, size=(8, 2)), ids=[f"c{i}" for i in range(8)]
     )
-    session = Session(dataset, use_numpy=use_numpy, build_index=build_index)
+    session = Session(dataset, build_index=build_index)
 
     def query(s):
         return s.query(ReverseSkylineSpec(q=Q)).value.ids
@@ -186,7 +188,7 @@ def test_certain_session_parity_after_churn(
         names=[o.name for o in session.dataset],
         page_size=session.dataset.page_size,
     )
-    fresh = Session(rebuilt, use_numpy=use_numpy, build_index=build_index)
+    fresh = Session(rebuilt, build_index=build_index)
     assert session.fingerprint == fresh.fingerprint
 
     skyline = query(session)
@@ -222,11 +224,11 @@ def test_certain_session_parity_after_churn(
     seed=st.integers(min_value=0, max_value=2**16),
 )
 def test_shared_cache_across_kernel_paths_stays_sound(op_kinds, seed):
-    """One shared cache, two sessions (numpy/scalar), churn on one side.
+    """One shared cache, two sessions, churn on one side.
 
-    The kernel switch deliberately stays out of the cache key (the paths
-    are bit-compatible), so the scalar session may consume entries the
-    numpy session wrote — but only under the *matching* fingerprint.
+    A fresh session over the final contents may consume entries the
+    churned session wrote — but only under the *matching* fingerprint,
+    and what it is served must equal the scalar Eq. (3)/(2) reference.
     """
     from repro.engine import LRUCache
 
@@ -235,13 +237,14 @@ def test_shared_cache_across_kernel_paths_stays_sound(op_kinds, seed):
         [_uncertain_object(f"o{i}", rng) for i in range(5)]
     )
     cache = LRUCache(maxsize=256)
-    fast = Session(dataset, cache=cache, use_numpy=True)
-    _churn(fast, op_kinds, rng, _uncertain_object)
+    live = Session(dataset, cache=cache)
+    _churn(live, op_kinds, rng, _uncertain_object)
 
-    scalar = Session(
-        _rebuild_uncertain(fast.dataset), cache=cache, use_numpy=False
-    )
+    rebuilt = _rebuild_uncertain(live.dataset)
+    fresh = Session(rebuilt, cache=cache)
     spec = PRSQSpec(q=Q, alpha=ALPHA, want="probabilities")
-    assert _bits(fast.query(spec).value.probabilities) == _bits(
-        scalar.query(spec).value.probabilities
-    )
+    ours = live.query(spec).value.probabilities
+    theirs = fresh.query(spec)
+    assert theirs.run.cached  # same contents, same fingerprint: a hit
+    scalar = {oid: reference.prsq_probability(rebuilt, oid, Q) for oid in ours}
+    assert _bits(ours) == _bits(theirs.value.probabilities) == _bits(scalar)
