@@ -160,15 +160,20 @@ class TestRelevanceSets:
         assert wide.node_accesses == narrow.node_accesses
 
     @pytest.mark.parametrize("shards", [1, 3])
-    def test_window_positions_excludes_and_sorts(self, rng, shards):
+    @pytest.mark.parametrize("exclude_center", [True, False])
+    def test_window_positions_excludes_and_sorts(self, rng, exclude_center, shards):
         base = make_uncertain_dataset(rng, 30)
         dataset = base if shards == 1 else shard_dataset(base, shards)
         windows = _windows_per_object(dataset, [5.0, 5.0])[4]
-        got = dataset.window_positions(windows, exclude=4)
+        exclude = 4 if exclude_center else None
+        got = dataset.window_positions(windows, exclude=exclude)
         hits = base.rtree.range_search_any(windows)
         assert got.tolist() == sorted(
-            base.index_of(oid) for oid in hits if oid != 4
+            base.index_of(oid) for oid in hits if oid != exclude
         )
+        # Each window is centred on one of object 4's samples, so object 4
+        # always crosses them: only ``exclude`` keeps it out.
+        assert (4 in got.tolist()) is not exclude_center
 
 
 class TestSegmentedEq2:
