@@ -2,8 +2,9 @@
 
 Sweeps n in {10^4, 10^5} certain objects by k in {1, 2, 4, 8} STR shards
 and times the batched many-window filter call
-(:meth:`~repro.index.sharded.ShardedIndex.range_search_many`) every
-index-guided algorithm funnels through.  Two window families bracket the
+(:meth:`~repro.index.sharded.ShardedIndex.range_search_many`), the one
+:func:`~repro.skyline.bichromatic.bichromatic_reverse_skyline` answers
+all its customers' windows with.  Two window families bracket the
 workload space:
 
 * **local** — small boxes (~2% of the domain) centred on sampled data

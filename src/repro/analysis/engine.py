@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import ast
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple, Type
+from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
 from repro.analysis.config import LintConfig
 from repro.analysis.findings import ERROR, Finding
@@ -82,10 +82,6 @@ class LintContext:
         self._findings: List[Tuple[str, Finding]] = []
 
     # -- ambient queries -------------------------------------------------
-    @property
-    def current_function(self) -> Optional[ast.AST]:
-        return self.func_stack[-1].node if self.func_stack else None
-
     @property
     def in_async_function(self) -> bool:
         """True iff the *innermost* enclosing function is ``async def``."""

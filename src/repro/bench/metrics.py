@@ -48,10 +48,6 @@ class Aggregate:
     def mean_subsets(self) -> float:
         return self._mean("subsets_examined")
 
-    @property
-    def total_cpu_time_s(self) -> float:
-        return sum(run.cpu_time_s for run in self.runs)
-
     def as_row(self) -> dict:
         """One flattened result row for the reporting tables."""
         return {

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from typing import Hashable, List
+from typing import Hashable, List, Optional
 
 import numpy as np
 
@@ -27,18 +27,24 @@ from repro.uncertain.dataset import CertainDataset
 def confirm_dominators(
     dataset: CertainDataset,
     hits: List[Hashable],
-    an_oid: Hashable,
+    an_oid: Optional[Hashable],
     qq: np.ndarray,
     an_point: np.ndarray,
 ) -> List[Hashable]:
-    """Window-query hits that really dominate ``q`` w.r.t. the non-answer.
+    """Window-query hits that really dominate ``q`` w.r.t. ``an_point``.
 
     One batched :func:`repro.engine.kernels.dominance_mask` call over the
-    stacked hit points, sorted for deterministic output.
+    stacked hit points, sorted for deterministic output.  *an_oid*, the
+    object at ``an_point``, is left out (its dominators come from
+    P - {an}); ``None`` keeps every hit, for hits drawn from another
+    dataset (the bichromatic products).
     """
     from repro.engine.kernels import dominance_mask
 
-    pool = [oid for oid in hits if oid != an_oid]
+    if an_oid is None:
+        pool = list(hits)
+    else:
+        pool = [oid for oid in hits if oid != an_oid]
     if not pool:
         return []
     points = np.stack([dataset.point_of(oid) for oid in pool])

@@ -8,9 +8,9 @@ algorithms:
 * :mod:`~repro.engine.spec` — declarative :class:`QuerySpec` values for
   the full query zoo (CP/CR/pdf causality, PRSQ, reverse skyline,
   reverse k-skyband, reverse top-k);
-* :mod:`~repro.engine.plan` — compiles specs into executable plans,
-  choosing between the dense broadcast kernels and the packed-index
-  window paths;
+* :mod:`~repro.engine.plan` — compiles specs into executable plans, one
+  physical path per query family (reverse skylines and k-skybands count
+  dominators in one broadcast kernel, at any size and shard count);
 * :mod:`~repro.engine.executor` — serial and multiprocess batch
   execution with deterministic result ordering;
 * :mod:`~repro.engine.cache` — LRU result/probability cache keyed by
@@ -38,7 +38,6 @@ from repro.engine.spec import (
     ReverseKSkybandSpec,
     ReverseSkylineSpec,
     ReverseTopKSpec,
-    SPEC_KINDS,
     UpdateSpec,
     spec_from_dict,
     spec_to_dict,
@@ -63,7 +62,6 @@ __all__ = [
     "ReverseKSkybandSpec",
     "ReverseSkylineSpec",
     "ReverseTopKSpec",
-    "SPEC_KINDS",
     "SerialExecutor",
     "Session",
     "UpdateSpec",

@@ -257,19 +257,18 @@ class Executor:
     def map(
         self, session: "Session", specs: Sequence[QuerySpec]
     ) -> List["QueryOutcome"]:
-        raise NotImplementedError
+        """All outcomes, in input order: :meth:`stream` drained."""
+        return list(self.stream(session, specs))
 
     def stream(
         self, session: "Session", specs: Sequence[QuerySpec]
     ) -> Iterator["QueryOutcome"]:
         """Yield outcomes in input order as they complete.
 
-        The base implementation degrades to :meth:`map`; the serial and
-        parallel executors override it with genuinely incremental
-        delivery — this is what feeds the client's ``.stream()`` and the
-        CLI's NDJSON ``batch --stream`` output.
+        This is what feeds the client's ``.stream()`` and the CLI's
+        NDJSON ``batch --stream`` output.
         """
-        yield from self.map(session, specs)
+        raise NotImplementedError
 
     @staticmethod
     def _precheck(session: "Session", specs: Sequence[QuerySpec]) -> None:
@@ -280,11 +279,6 @@ class Executor:
 
 class SerialExecutor(Executor):
     """Run the batch in-process, one spec at a time."""
-
-    def map(
-        self, session: "Session", specs: Sequence[QuerySpec]
-    ) -> List["QueryOutcome"]:
-        return list(self.stream(session, specs))
 
     def stream(
         self, session: "Session", specs: Sequence[QuerySpec]
@@ -424,7 +418,8 @@ class ParallelExecutor(Executor):
 
         Chunks are submitted in order and awaited in order, so delivery
         matches the serial executor exactly.  When the pool breaks
-        (a worker was SIGKILLed or died in its initializer), every chunk
+        (a worker was SIGKILLed or died in its initializer), whether
+        before every chunk was submitted or while they run, every chunk
         that already completed is salvaged from its future, the pool is
         respawned once with ``worker.chunk`` fault rules disarmed
         (``sticky`` rules survive, which is how the give-up path is
@@ -442,26 +437,25 @@ class ParallelExecutor(Executor):
                 initializer=_worker_init,
                 initargs=initargs,
             )
-            crashed = False
+            futures: Dict[int, Any] = {}
             try:
-                futures = {
-                    index: executor.submit(_worker_run, chunks[index])
-                    for index in pending
-                }
-                for index in pending:
-                    try:
+                try:
+                    # A worker can die while later chunks are still being
+                    # submitted: submit() then raises BrokenProcessPool
+                    # just as the broken futures' result() does.
+                    for index in pending:
+                        futures[index] = executor.submit(
+                            _worker_run, chunks[index]
+                        )
+                    for index in pending:
                         parts[index] = futures[index].result()
-                    except BrokenProcessPool:
-                        crashed = True
-                        break
-                    while next_out in parts:
-                        yield next_out, parts.pop(next_out)
-                        next_out += 1
-                if crashed:
+                        while next_out in parts:
+                            yield next_out, parts.pop(next_out)
+                            next_out += 1
+                except BrokenProcessPool:
                     # Chunks that finished before the crash are results
                     # we already hold — only the rest get resubmitted.
-                    for index in pending:
-                        future = futures[index]
+                    for index, future in futures.items():
                         if (
                             index not in parts
                             and future.done()
@@ -500,41 +494,6 @@ class ParallelExecutor(Executor):
             return initargs
         return initargs[:-1] + (plan.drop("worker.chunk"),)
 
-    def map(
-        self, session: "Session", specs: Sequence[QuerySpec]
-    ) -> List["QueryOutcome"]:
-        specs = list(specs)
-        if not specs:
-            return []
-        self._precheck(session, specs)
-        self._reject_mutating(specs)
-        if self.workers == 1 or len(specs) == 1:
-            serial = SerialExecutor()
-            try:
-                return serial.map(session, specs)
-            finally:
-                self.last_cache_stats = serial.last_cache_stats
-                self.last_metrics = serial.last_metrics
-
-        chunks = self._chunks(list(enumerate(specs)))
-        self.last_cache_stats = CacheStats()
-        batch_metrics = obs.MetricsRegistry()
-        depth = obs.registry().gauge("batch.queue_depth")
-        depth.set(len(chunks))
-        outcomes: List[Tuple[int, "QueryOutcome"]] = []
-        try:
-            for _chunk_index, (part, delta, metrics_delta, spans) in (
-                self._completed_parts(chunks, self._initargs(session))
-            ):
-                outcomes.extend(part)
-                self._merge_stats(delta)
-                self._merge_obs(session, batch_metrics, metrics_delta, spans)
-        finally:
-            depth.set(0)
-        self.last_metrics = batch_metrics.snapshot()
-        outcomes.sort(key=lambda pair: pair[0])
-        return [outcome for _index, outcome in outcomes]
-
     def _merge_stats(self, delta: CacheStats) -> None:
         merged = self.last_cache_stats
         merged.hits += delta.hits
@@ -566,10 +525,10 @@ class ParallelExecutor(Executor):
     ) -> Iterator["QueryOutcome"]:
         """Incremental fan-out: outcomes arrive chunk by chunk, in order.
 
-        The same ordered-chunk submission :meth:`map` uses (including
-        its crash recovery) keeps delivery order identical to the serial
-        executor while a consumer (the NDJSON streamer) sees results as
-        each chunk finishes instead of waiting for the whole batch.
+        Ordered-chunk submission (with its crash recovery) keeps delivery
+        order identical to the serial executor while a consumer (the
+        NDJSON streamer) sees results as each chunk finishes instead of
+        waiting for the whole batch.
         """
         specs = list(specs)
         if not specs:

@@ -18,10 +18,6 @@ from repro.geometry.dominance import dominance_vector
 from repro.geometry.point import PointLike, as_point
 from repro.geometry.rectangle import Rect
 
-# Centers per broadcast chunk: bounds the (chunk, n, d) scratch array to a
-# few MB for the cardinalities the benchmarks sweep.
-_CENTER_CHUNK = 128
-
 # Windows per broadcast chunk for points_in_any_window: bounds the
 # (n, chunk, d) containment scratch the same way.
 _WINDOW_CHUNK = 128
@@ -30,6 +26,11 @@ _WINDOW_CHUNK = 128
 # (S_center, chunk, S_max, d) distance tensor is sliced over the relevant
 # objects so one center with many samples cannot blow up memory.
 _EQ3_SCRATCH_ELEMENTS = 1 << 21
+
+# float64 elements per dominator_counts chunk (~16 MB of scratch): the
+# (centers, n, d) distance array holds as many centers as fit, so its size
+# stays bounded at any n instead of growing with it.
+_COUNT_SCRATCH_ELEMENTS = 1 << 21
 
 # Elements per (center samples, pairs) array of one eq2_segmented block
 # (64 KB of float64, under a MB for everything a block keeps alive): small
@@ -119,30 +120,20 @@ def dominator_counts(
     qq = as_point(q, dims=points.shape[1])
     n = points.shape[0]
     counts = np.empty(n, dtype=np.int64)
-    for start in range(0, n, _CENTER_CHUNK):
-        centers = points[start : start + _CENTER_CHUNK]
+    chunk = max(1, _COUNT_SCRATCH_ELEMENTS // max(1, n * points.shape[1]))
+    for start in range(0, n, chunk):
+        centers = points[start : start + chunk]
         # (c, n, d) distances of every point / of q to each center.
         dp = np.abs(points[np.newaxis, :, :] - centers[:, np.newaxis, :])
         dq = np.abs(qq[np.newaxis, np.newaxis, :] - centers[:, np.newaxis, :])
         mask = _dominance_block(dp, dq)
-        # A point never dominates w.r.t. itself (distance 0 vs 0 per dim is
-        # never strict), but zero the diagonal explicitly for clarity.
+        # The dominators of q w.r.t. p_i come from P - {p_i}: p_i itself
+        # (distance 0 in every dimension) dominates q whenever q != p_i,
+        # so the diagonal is zeroed.
         rows = np.arange(centers.shape[0])
         mask[rows, start + rows] = False
         counts[start : start + centers.shape[0]] = mask.sum(axis=1)
     return counts
-
-
-def reverse_skyline_mask(points: np.ndarray, q: PointLike) -> np.ndarray:
-    """Boolean reverse-skyline membership per point (no dominators of ``q``)."""
-    return dominator_counts(points, q) == 0
-
-
-def k_skyband_mask(points: np.ndarray, q: PointLike, k: int) -> np.ndarray:
-    """Boolean reverse k-skyband membership (fewer than ``k`` dominators)."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return dominator_counts(points, q) < k
 
 
 def points_in_any_window(

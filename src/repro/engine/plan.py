@@ -2,11 +2,11 @@
 executable plan against a :class:`~repro.engine.session.Session`.
 
 A plan is a small value object: the ordered step names (for explain/debug
-output) plus a runner closure.  Planning is where the engine picks between
-equivalent physical implementations — e.g. the dense broadcast kernel vs.
-the batched packed-index windows for reverse skylines — guided by the
-dataset's size and sharding.  All alternatives produce identical results
-(parity is property-tested), so the choice is purely physical.
+output) plus a runner closure.  Each query family has one physical path:
+the reverse skyline and k-skyband plans run the dominator-count kernel
+over the dataset's points at every size and shard count, and the
+causality plans run the paper's filter and refinement over the packed
+index.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ from typing import TYPE_CHECKING, Any, Callable, Tuple
 
 from repro.core.cp import compute_causality
 from repro.core.cr import compute_causality_certain
-from repro.engine import kernels
 from repro.obs import span as _span
 from repro.engine.spec import (
     CausalityCertainSpec,
@@ -36,26 +35,6 @@ from repro.skyline.skyband import compute_causality_k_skyband, reverse_k_skyband
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.engine.session import Session
-
-# Above this cardinality the O(n^2) broadcast kernel loses to the per-object
-# pruned R-tree window queries, so the planner falls back to the index path.
-VECTORIZED_MAX_N = 4096
-
-
-def _vectorize(session: "Session") -> bool:
-    # Sharded sessions always take the index path: the dense broadcast
-    # kernel is O(n x n) against the full points matrix, exactly the
-    # single-dataset assumption sharding removes — and the per-shard
-    # window filter is what the scatter-gather machinery accelerates.
-    return (
-        len(session.dataset) <= VECTORIZED_MAX_N and session.shard_count == 1
-    )
-
-
-def _filter_kernel(session: "Session") -> str:
-    """The filter-phase kernel label for trace spans."""
-    k = session.shard_count
-    return f"sharded-packed-windows[k={k}]" if k > 1 else "packed-windows"
 
 
 @dataclass(frozen=True)
@@ -160,45 +139,30 @@ def plan_k_skyband_causality(spec: KSkybandCausalitySpec) -> QueryPlan:
 
 def plan_reverse_skyline(spec: ReverseSkylineSpec) -> QueryPlan:
     def run(session: "Session") -> Any:
-        if _vectorize(session):
-            with _span("filter", kernel="broadcast"):
-                mask = kernels.reverse_skyline_mask(
-                    session.dataset.points, spec.q
-                )
-            with _span("refine") as sp:
-                ids = session.dataset.ids()
-                result = [ids[i] for i in range(len(ids)) if mask[i]]
-                sp.set(answers=len(result))
-            return result
-        with _span("filter", kernel=_filter_kernel(session)):
-            return reverse_skyline(session.dataset, spec.q)
+        with _span("filter", kernel="dominator-counts") as sp:
+            result = reverse_skyline(session.dataset, spec.q)
+            sp.set(answers=len(result))
+        return result
 
     return QueryPlan(
         spec=spec,
-        steps=("vectorized-dominator-counts | packed-batched-windows",),
+        steps=("dominator-counts (broadcast over dataset points)",
+               "members: count == 0"),
         runner=run,
     )
 
 
 def plan_reverse_k_skyband(spec: ReverseKSkybandSpec) -> QueryPlan:
     def run(session: "Session") -> Any:
-        if _vectorize(session):
-            with _span("filter", kernel="broadcast", k=spec.k):
-                mask = kernels.k_skyband_mask(
-                    session.dataset.points, spec.q, spec.k
-                )
-            with _span("refine") as sp:
-                ids = session.dataset.ids()
-                result = [ids[i] for i in range(len(ids)) if mask[i]]
-                sp.set(answers=len(result))
-            return result
-        with _span("filter", kernel=_filter_kernel(session), k=spec.k):
-            return reverse_k_skyband(session.dataset, spec.q, spec.k)
+        with _span("filter", kernel="dominator-counts", k=spec.k) as sp:
+            result = reverse_k_skyband(session.dataset, spec.q, spec.k)
+            sp.set(answers=len(result))
+        return result
 
     return QueryPlan(
         spec=spec,
-        steps=(f"vectorized-k-skyband-counts k={spec.k} | "
-               "packed-batched-windows",),
+        steps=("dominator-counts (broadcast over dataset points)",
+               f"members: count < {spec.k}"),
         runner=run,
     )
 

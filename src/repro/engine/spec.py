@@ -24,7 +24,7 @@ format; ``cache_key()`` gives the session a hashable identity.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from typing import Any, ClassVar, Dict, Hashable, Optional, Tuple, Type
+from typing import Any, ClassVar, Dict, Hashable, Optional, Tuple
 
 from repro.core.cp import CPConfig
 from repro.geometry.point import PointLike
@@ -401,26 +401,6 @@ class UpdateSpec(QuerySpec):
             updates=tuple(entry_object(e) for e in self.updates),
             inserts=tuple(entry_object(e) for e in self.inserts),
         )
-
-
-#: Legacy view of the built-in kind -> spec-class mapping.  The
-#: authoritative table is :data:`repro.api.registry.REGISTRY` (which also
-#: holds planners, result codecs, and any runtime-registered families);
-#: this dict remains for import compatibility only.
-SPEC_KINDS: Dict[str, Type[QuerySpec]] = {
-    cls.kind: cls
-    for cls in (
-        PRSQSpec,
-        CausalitySpec,
-        PdfCausalitySpec,
-        CausalityCertainSpec,
-        KSkybandCausalitySpec,
-        ReverseSkylineSpec,
-        ReverseKSkybandSpec,
-        ReverseTopKSpec,
-        UpdateSpec,
-    )
-}
 
 
 def spec_to_dict(spec: QuerySpec) -> Dict[str, Any]:

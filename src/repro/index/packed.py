@@ -3,8 +3,8 @@
 The pointer :class:`~repro.index.rtree.RTree` pays a Python-level
 ``Rect.intersects`` call per node per window.  For the filter phase of the
 index-guided algorithms — Lemma-2 candidate discovery, CR's window query,
-reverse skylines / k-skybands, the PRSQ relevance prune — that scalar
-traversal dominates the runtime once queries arrive in batches.
+the bichromatic reverse skyline's windows, the PRSQ relevance prune — that
+scalar traversal dominates the runtime once queries arrive in batches.
 
 :class:`PackedRTree` freezes one tree into contiguous arrays:
 

@@ -3,10 +3,12 @@
 A :class:`~repro.uncertain.sharded.ShardedDataset` holds k disjoint
 sub-datasets, each with its own :class:`~repro.index.packed.PackedRTree`.
 :class:`ShardedIndex` presents those k indexes as one object answering
-the same ``range_search*`` and ``group_hits`` calls every filter call
-site already issues, so the Lemma-2 filter, CR's window query, reverse
-skylines/k-skybands and the PRSQ relevance prune run per-shard without a
-single algorithm edit.
+the same ``range_search``/``range_search_many`` and ``group_hits`` calls
+every filter call site already issues, so the Lemma-2 filter, CR's window
+query, the bichromatic reverse skyline's batched windows and the PRSQ
+relevance prune run per-shard without a single algorithm edit.  (Reverse
+skylines and k-skybands read no index: they count dominators over the
+dataset's points.)
 
 Hit-set soundness rides on two facts:
 
@@ -17,7 +19,7 @@ Hit-set soundness rides on two facts:
   result — the sorted dataset positions of
   :meth:`~repro.uncertain.dataset.UncertainDataset.relevance_sets` (the
   Eq. (2) product order), an explicit ``sorted(..., key=repr)``, or an
-  order-insensitive reduction (dominator counts, ``any()``) — so the
+  order-insensitive reduction (``any()``) — so the
   shard-major arrival order is invisible downstream.  This is what makes
   every query family bit-identical between k=1 and k>1 (property-tested).
 
@@ -101,7 +103,7 @@ class ShardedIndex:
         return hit
 
     # ------------------------------------------------------------------
-    # the range_search* calls every filter call site issues
+    # the range_search calls the filter call sites issue
     # ------------------------------------------------------------------
     def range_search(self, window: Rect) -> List[Any]:
         """Payloads of all entries intersecting *window*.
@@ -118,25 +120,6 @@ class ShardedIndex:
             if mask[shard]:
                 hits.extend(index.range_search(window))
         return hits
-
-    def range_search_any(self, windows: Sequence[Rect]) -> List[Any]:
-        """Unique payloads intersecting *any* window, ``repr``-sorted.
-
-        Honors the single-index contract exactly: shards are disjoint, so
-        the union of per-shard unique hits has no duplicates, and one
-        final ``repr`` sort restores the canonical order.
-        """
-        windows = list(windows)
-        wlo, whi = _stack_windows(windows, self.dims)
-        mask = self._window_mask(wlo, whi)
-        hits: List[Any] = []
-        for shard, index in enumerate(self.indexes):
-            selected = np.flatnonzero(mask[shard])
-            if selected.size:
-                hits.extend(
-                    index.range_search_any([windows[i] for i in selected])
-                )
-        return sorted(hits, key=repr)
 
     def range_search_many(self, windows: Sequence[Rect]) -> List[List[Any]]:
         """Per-window payload lists for W windows, scatter-gathered.

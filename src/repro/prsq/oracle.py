@@ -80,7 +80,6 @@ class MembershipOracle:
             )
         else:
             self._survival = np.zeros((0, self.an.num_samples))
-        self._matrix = matrix
         self._cache: Dict[FrozenSet[Hashable], float] = {}
         self.evaluations = 0
 
@@ -107,13 +106,6 @@ class MembershipOracle:
     @property
     def an_oid(self) -> Hashable:
         return self.an.oid
-
-    def eq3_vector(self, oid: Hashable) -> np.ndarray:
-        """The Eq. (3) vector of an influencer (zeros for non-influencers)."""
-        vector = self._matrix.get(oid)
-        if vector is None:
-            return np.zeros(self.an.num_samples)
-        return vector
 
     def influences(self, oid: Hashable) -> bool:
         """Does *oid* have a non-zero Eq. (3) vector against ``an``?"""

@@ -17,6 +17,7 @@ from __future__ import annotations
 import time
 from typing import Hashable, List
 
+from repro.core.cr import confirm_dominators
 from repro.core.model import Cause, CauseKind, CausalityResult
 from repro.exceptions import NotANonAnswerError
 from repro.geometry.dominance import dominance_rectangle, dynamically_dominates
@@ -43,14 +44,9 @@ def product_dominators(
         pool = products.spatial_index().range_search(window)
     else:
         pool = products.ids()
-    return sorted(
-        (
-            oid
-            for oid in pool
-            if dynamically_dominates(products.point_of(oid), qq, center)
-        ),
-        key=repr,
-    )
+    # Products are another dataset: none is excluded, so one co-located
+    # with the customer dominates q unless q is that very point.
+    return confirm_dominators(products, pool, None, qq, center)
 
 
 def bichromatic_reverse_skyline(

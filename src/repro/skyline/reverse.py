@@ -4,20 +4,23 @@ Two implementations are provided:
 
 * :func:`reverse_skyline_bruteforce` — the quadratic reference used as the
   ground truth in tests;
-* :func:`reverse_skyline` — the index-assisted algorithm: a point ``p`` is
-  in the reverse skyline of ``q`` iff the dominance rectangle of ``p``
-  (Lemma 2's geometry specialized to certain data) contains no other point
-  that dynamically dominates ``q`` w.r.t. ``p``, which one R-tree window
-  query per point answers — all of them in one batched pass.
+* :func:`reverse_skyline` — the reverse 1-skyband: one
+  :func:`~repro.engine.kernels.dominator_counts` pass counts, for every
+  point ``p``, the other points that dynamically dominate ``q`` w.r.t.
+  ``p``, and ``p`` is a member iff its count is zero.
+
+:func:`is_reverse_skyline` tests one object: one R-tree window query over
+its dominance rectangle (Lemma 2's geometry specialized to certain data),
+with the hits confirmed in one vectorized dominance test.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, List
 
-from repro.geometry.dominance import dominance_rectangle, dynamically_dominates
-from repro.geometry.point import PointLike, as_point
+from repro.geometry.point import PointLike
 from repro.skyline.dynamic import q_in_dynamic_skyline
+from repro.skyline.skyband import dominators_of_query, reverse_k_skyband
 from repro.uncertain.dataset import CertainDataset
 
 
@@ -41,27 +44,14 @@ def reverse_skyline_bruteforce(dataset: CertainDataset, q: PointLike) -> List[Ha
 
 def is_reverse_skyline(dataset: CertainDataset, oid: Hashable, q: PointLike) -> bool:
     """Index-assisted membership test (one window query on the dataset R-tree)."""
-    center = dataset.point_of(oid)
-    qq = as_point(q, dims=dataset.dims)
-    window = dominance_rectangle(center, qq)
-    for hit_oid in dataset.spatial_index().range_search(window):
-        if hit_oid == oid:
-            continue
-        if dynamically_dominates(dataset.point_of(hit_oid), qq, center):
-            return False
-    return True
+    return not dominators_of_query(dataset, oid, q)
 
 
 def reverse_skyline(dataset: CertainDataset, q: PointLike) -> List[Hashable]:
-    """Reverse skyline of ``q`` using the dataset R-tree.
+    """Reverse skyline of ``q``: the reverse 1-skyband, in dataset order.
 
-    All per-object window queries run as one batched multi-window pass
-    over the packed index — the reverse skyline is exactly the reverse
-    1-skyband, so the batched traversal lives in
-    :func:`repro.skyline.skyband.reverse_k_skyband`.  The membership set,
-    its order (dataset order) and the node-access accounting are identical
-    to a per-object :func:`is_reverse_skyline` loop.
+    Runs :func:`repro.skyline.skyband.reverse_k_skyband` with ``k = 1``,
+    one :func:`~repro.engine.kernels.dominator_counts` pass over
+    ``dataset.points``.
     """
-    from repro.skyline.skyband import reverse_k_skyband
-
     return reverse_k_skyband(dataset, q, 1)

@@ -20,9 +20,10 @@ from __future__ import annotations
 import time
 from typing import Hashable, List
 
+from repro.core.cr import confirm_dominators
 from repro.core.model import Cause, CauseKind, CausalityResult
 from repro.exceptions import NotANonAnswerError
-from repro.geometry.dominance import dominance_rectangle, dynamically_dominates
+from repro.geometry.dominance import dominance_rectangle
 from repro.geometry.point import PointLike, as_point
 from repro.obs import span as _span
 from repro.uncertain.dataset import CertainDataset
@@ -34,7 +35,12 @@ def dominators_of_query(
     q: PointLike,
     use_index: bool = True,
 ) -> List[Hashable]:
-    """Objects that dynamically dominate ``q`` w.r.t. object *oid*."""
+    """Objects that dynamically dominate ``q`` w.r.t. object *oid*.
+
+    The candidates (one window query, or every object when *use_index*
+    is false) are confirmed in one vectorized
+    :func:`~repro.core.cr.confirm_dominators` call, ``repr``-sorted.
+    """
     an_point = dataset.point_of(oid)
     qq = as_point(q, dims=dataset.dims)
     if use_index:
@@ -42,15 +48,7 @@ def dominators_of_query(
         pool = dataset.spatial_index().range_search(window)
     else:
         pool = dataset.ids()
-    return sorted(
-        (
-            other
-            for other in pool
-            if other != oid
-            and dynamically_dominates(dataset.point_of(other), qq, an_point)
-        ),
-        key=repr,
-    )
+    return confirm_dominators(dataset, pool, oid, qq, an_point)
 
 
 def is_reverse_k_skyband(
@@ -67,27 +65,19 @@ def reverse_k_skyband(
 ) -> List[Hashable]:
     """The reverse k-skyband of ``q`` (``k = 1`` is the reverse skyline).
 
-    Every object's window query runs in one batched multi-window pass
-    over the packed index; membership, order and node accesses match a
-    per-object :func:`is_reverse_k_skyband` loop exactly.
+    One :func:`~repro.engine.kernels.dominator_counts` pass over
+    ``dataset.points`` counts every object's dominators at once; members
+    come back in dataset order.  No index is read, so a sharded dataset
+    answers exactly like an unsharded one.
     """
+    from repro.engine.kernels import dominator_counts
+
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    qq = as_point(q, dims=dataset.dims)
-    centers = [obj.samples[0] for obj in dataset]
-    windows = [dominance_rectangle(center, qq) for center in centers]
-    hits_per = dataset.spatial_index().range_search_many(windows)
-    members: List[Hashable] = []
-    for obj, center, hits in zip(dataset, centers, hits_per):
-        dominators = sum(
-            1
-            for hit in hits
-            if hit != obj.oid
-            and dynamically_dominates(dataset.point_of(hit), qq, center)
-        )
-        if dominators < k:
-            members.append(obj.oid)
-    return members
+    counts = dominator_counts(dataset.points, as_point(q, dims=dataset.dims))
+    return [
+        oid for oid, count in zip(dataset.ids(), counts.tolist()) if count < k
+    ]
 
 
 def compute_causality_k_skyband(

@@ -126,8 +126,8 @@ class UncertainDataset:
         The packed snapshot here; a sharded dataset returns a
         :class:`~repro.index.sharded.ShardedIndex` over its shards'
         snapshots, answering the same ``range_search`` /
-        ``range_search_any`` / ``range_search_many`` / ``group_hits``
-        calls with identical hit sets.
+        ``range_search_many`` / ``group_hits`` calls with identical hit
+        sets.
         """
         return self.packed
 

@@ -18,7 +18,7 @@ What changes is purely physical:
 * :class:`~repro.uncertain.delta.DatasetDelta` ops route to the owning
   shard in O(changed): inserts go to the nearest shard seed center,
   deletes/updates to their owner, and a full STR **rebalance** runs only
-  when a shard overflows ``rebalance_factor x n/k`` or a delete would
+  when a shard overflows ``REBALANCE_FACTOR x n/k`` or a delete would
   empty a shard;
 * the :class:`PartitionLayout` digest names the exact assignment, and the
   engine folds it into every cache key — re-sharding the same data can
@@ -33,7 +33,7 @@ import hashlib
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, Hashable, List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,7 +44,7 @@ from repro.uncertain.object import UncertainObject
 
 #: A shard may grow to this multiple of the balanced size ``n / k`` before
 #: an insert triggers a full STR repartition.
-DEFAULT_REBALANCE_FACTOR = 2.0
+REBALANCE_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -103,16 +103,10 @@ class ShardingMixin:
         self,
         shards: int,
         assignment: Optional[Sequence[Sequence[Hashable]]] = None,
-        rebalance_factor: float = DEFAULT_REBALANCE_FACTOR,
     ) -> None:
         if int(shards) < 1:
             raise ValueError(f"shards must be >= 1, got {shards}")
-        if rebalance_factor < 1.0:
-            raise ValueError(
-                f"rebalance_factor must be >= 1, got {rebalance_factor}"
-            )
         self._requested_shards = int(shards)
-        self._rebalance_factor = float(rebalance_factor)
         self.rebalances = 0
         self._layout: Optional[PartitionLayout] = None
         self._build_shards(assignment)
@@ -196,30 +190,6 @@ class ShardingMixin:
     def layout_digest(self) -> Optional[str]:
         return self.layout.digest
 
-    def shard_digest(self) -> str:
-        """Layout digest combined with per-shard content digests.
-
-        The incrementally maintainable fingerprint of the *sharded state*:
-        a delta touching one shard re-hashes only that shard's (cached
-        per-object) digests, and any membership change shows up through
-        the layout component.
-        """
-        hasher = hashlib.sha1()
-        hasher.update(self.layout.digest.encode())
-        for shard in self._shards:
-            hasher.update(shard.content_digest().encode())
-        return hasher.hexdigest()
-
-    def shard_summary(self) -> Dict[str, Any]:
-        """Shard-level stats for ``info()``/``stats`` surfaces."""
-        return {
-            "shards": self.shard_count,
-            "requested": self._requested_shards,
-            "sizes": [len(shard) for shard in self._shards],
-            "rebalances": self.rebalances,
-            "layout_digest": self.layout.digest,
-        }
-
     # -- index plumbing -------------------------------------------------
     def spatial_index(self):
         """A :class:`~repro.index.sharded.ShardedIndex` over the shards.
@@ -235,9 +205,7 @@ class ShardingMixin:
     # -- delta routing ---------------------------------------------------
     def _shard_limit(self) -> int:
         k = max(1, min(self._requested_shards, len(self._objects)))
-        return max(
-            4, math.ceil(self._rebalance_factor * len(self._objects) / k)
-        )
+        return max(4, math.ceil(REBALANCE_FACTOR * len(self._objects) / k))
 
     def _repartition(self) -> None:
         self._build_shards(None)
@@ -300,7 +268,6 @@ class ShardingMixin:
     def _clone_shell(self, objects, by_id, index_of):
         clone = super()._clone_shell(objects, by_id, index_of)
         clone._requested_shards = self._requested_shards
-        clone._rebalance_factor = self._rebalance_factor
         clone.rebalances = self.rebalances
         clone._layout = self._layout
         clone._shard_centers = self._shard_centers
@@ -341,11 +308,10 @@ class ShardedDataset(ShardingMixin, UncertainDataset):
         objects,
         shards: int = 8,
         page_size: Optional[int] = None,
-        rebalance_factor: float = DEFAULT_REBALANCE_FACTOR,
     ):
         kwargs = {} if page_size is None else {"page_size": page_size}
         UncertainDataset.__init__(self, objects, **kwargs)
-        self._init_sharding(shards, rebalance_factor=rebalance_factor)
+        self._init_sharding(shards)
 
     def __repr__(self) -> str:
         return (
@@ -365,11 +331,10 @@ class ShardedCertainDataset(ShardingMixin, CertainDataset):
         names=None,
         shards: int = 8,
         page_size: Optional[int] = None,
-        rebalance_factor: float = DEFAULT_REBALANCE_FACTOR,
     ):
         kwargs = {} if page_size is None else {"page_size": page_size}
         CertainDataset.__init__(self, points, ids=ids, names=names, **kwargs)
-        self._init_sharding(shards, rebalance_factor=rebalance_factor)
+        self._init_sharding(shards)
 
     def __repr__(self) -> str:
         return (
@@ -384,7 +349,6 @@ def shard_dataset(
     shards: int,
     *,
     assignment: Optional[Sequence[Sequence[Hashable]]] = None,
-    rebalance_factor: float = DEFAULT_REBALANCE_FACTOR,
 ) -> UncertainDataset:
     """Partition *dataset* into an STR-sharded equivalent.
 
@@ -410,7 +374,5 @@ def shard_dataset(
         out.points = dataset.points
     out._tensor = dataset._tensor
     out._content_digest = dataset._content_digest
-    out._init_sharding(
-        shards, assignment=assignment, rebalance_factor=rebalance_factor
-    )
+    out._init_sharding(shards, assignment=assignment)
     return out

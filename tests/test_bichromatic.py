@@ -45,6 +45,21 @@ class TestQuery:
         with pytest.raises(ValueError):
             product_dominators(customers, products_3d, "cheap", [5.0, 5.0])
 
+    @pytest.mark.parametrize("use_index", [True, False])
+    def test_colocated_product_dominates_unless_at_q(self, use_index):
+        # a product at the customer's own point is at distance 0 from it:
+        # it dominates q unless q is that very point (then it ties)
+        customers = CertainDataset([[4.0, 4.0]], ids=["c"])
+        products = CertainDataset(
+            [[4.0, 4.0], [9.0, 9.0]], ids=["same", "far"]
+        )
+        assert product_dominators(
+            customers, products, "c", [5.0, 5.0], use_index=use_index
+        ) == ["same"]
+        assert product_dominators(
+            customers, products, "c", [4.0, 4.0], use_index=use_index
+        ) == []
+
     def test_index_matches_scan(self, rng):
         customers = CertainDataset(rng.uniform(0, 10, size=(10, 2)))
         products = CertainDataset(rng.uniform(0, 10, size=(30, 2)))

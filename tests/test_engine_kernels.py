@@ -10,8 +10,12 @@ import pytest
 from repro.engine import kernels
 from repro.geometry.dominance import dynamically_dominates
 from repro.geometry.rectangle import Rect
-from repro.skyline.reverse import reverse_skyline, reverse_skyline_bruteforce
-from repro.skyline.skyband import reverse_k_skyband
+from repro.skyline.reverse import (
+    is_reverse_skyline,
+    reverse_skyline,
+    reverse_skyline_bruteforce,
+)
+from repro.skyline.skyband import is_reverse_k_skyband, reverse_k_skyband
 from repro.uncertain.dataset import CertainDataset
 
 from tests import reference
@@ -72,9 +76,13 @@ class TestDominatorCounts:
         points = random_points(rng, 150, 2)
         q = rng.uniform(0, 10, size=2)
         whole = kernels.dominator_counts(points, q)
-        monkeypatch.setattr(kernels, "_CENTER_CHUNK", 7)
-        chunked = kernels.dominator_counts(points, q)
-        np.testing.assert_array_equal(whole, chunked)
+        # budgets of exactly 1 and 7 centers' (n, d) distance rows
+        for centers in (1, 7):
+            monkeypatch.setattr(
+                kernels, "_COUNT_SCRATCH_ELEMENTS", centers * points.size
+            )
+            chunked = kernels.dominator_counts(points, q)
+            np.testing.assert_array_equal(whole, chunked)
 
     def test_duplicate_points_dominate_each_other(self):
         points = np.array([[4.0, 4.0], [4.0, 4.0], [9.0, 9.0]])
@@ -90,19 +98,22 @@ class TestReverseSkylineParity:
         points = random_points(rng, n, d, scale=100.0)
         dataset = CertainDataset(points)
         q = rng.uniform(0, 100, size=d)
-        mask = kernels.reverse_skyline_mask(points, q)
-        ids = dataset.ids()
-        from_kernel = [ids[i] for i in range(n) if mask[i]]
-        assert from_kernel == reverse_skyline(dataset, q)
-        assert from_kernel == reverse_skyline_bruteforce(dataset, q)
+        members = reverse_skyline(dataset, q)
+        assert members == reverse_skyline_bruteforce(dataset, q)
+        # the per-object window query + confirm step agrees
+        assert members == [
+            oid for oid in dataset.ids() if is_reverse_skyline(dataset, oid, q)
+        ]
 
     def test_python_fallback_identical(self, rng):
         points = random_points(rng, 40, 2)
+        dataset = CertainDataset(points)
         q = rng.uniform(0, 10, size=2)
-        np.testing.assert_array_equal(
-            kernels.reverse_skyline_mask(points, q),
-            reference.dominator_counts(points, q) == 0,
-        )
+        counts = reference.dominator_counts(points, q)
+        ids = dataset.ids()
+        assert reverse_skyline(dataset, q) == [
+            ids[i] for i in range(len(ids)) if counts[i] == 0
+        ]
 
 
 class TestKSkybandParity:
@@ -111,22 +122,40 @@ class TestKSkybandParity:
         points = random_points(rng, 80, 2, scale=100.0)
         dataset = CertainDataset(points)
         q = rng.uniform(0, 100, size=2)
-        mask = kernels.k_skyband_mask(points, q, k)
+        band = reverse_k_skyband(dataset, q, k)
         ids = dataset.ids()
-        from_kernel = [ids[i] for i in range(len(ids)) if mask[i]]
-        assert from_kernel == reverse_k_skyband(dataset, q, k)
+        counts = reference.dominator_counts(points, q)
+        assert band == [ids[i] for i in range(len(ids)) if counts[i] < k]
+        assert band == [
+            oid for oid in ids if is_reverse_k_skyband(dataset, oid, q, k)
+        ]
 
     def test_k1_is_reverse_skyline(self, rng):
         points = random_points(rng, 50, 2)
+        dataset = CertainDataset(points)
         q = rng.uniform(0, 10, size=2)
-        np.testing.assert_array_equal(
-            kernels.k_skyband_mask(points, q, 1),
-            kernels.reverse_skyline_mask(points, q),
+        assert reverse_k_skyband(dataset, q, 1) == reverse_skyline_bruteforce(
+            dataset, q
         )
 
     def test_rejects_bad_k(self, rng):
+        dataset = CertainDataset(random_points(rng, 5, 2))
         with pytest.raises(ValueError):
-            kernels.k_skyband_mask(random_points(rng, 5, 2), [1.0, 1.0], 0)
+            reverse_k_skyband(dataset, [1.0, 1.0], 0)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_grid_ties_and_duplicates(self, rng, k):
+        # integer coordinates: equal distances, twins and points at q
+        points = rng.integers(0, 6, size=(60, 2)).astype(np.float64)
+        dataset = CertainDataset(points)
+        q = np.array([3.0, 2.0])
+        band = reverse_k_skyband(dataset, q, k)
+        ids = dataset.ids()
+        counts = reference.dominator_counts(points, q)
+        assert band == [ids[i] for i in range(len(ids)) if counts[i] < k]
+        assert band == [
+            oid for oid in ids if is_reverse_k_skyband(dataset, oid, q, k)
+        ]
 
 
 class TestWindowKernels:

@@ -28,16 +28,17 @@ from repro.prsq.query import (
     prsq_probabilities,
 )
 from repro.rtopk.query import WeightSet, reverse_top_k
-from repro.skyline.reverse import reverse_skyline, reverse_skyline_bruteforce
+from repro.skyline.reverse import reverse_skyline_bruteforce
 from repro.skyline.skyband import (
     compute_causality_k_skyband,
     is_reverse_k_skyband,
-    reverse_k_skyband,
 )
 from repro.uncertain.dataset import CertainDataset, UncertainDataset
 from repro.uncertain.object import UncertainObject
 from repro.uncertain.pdf import UniformBoxObject
 from repro.geometry.rectangle import Rect
+
+from tests import reference
 
 Q = (5000.0, 5000.0)
 ALPHA = 0.5
@@ -79,28 +80,40 @@ class TestUncertainQueries:
 
 
 class TestCertainQueries:
-    def test_reverse_skyline_both_kernel_paths(self, certain_ds, monkeypatch):
-        import repro.engine.plan as plan_module
+    @staticmethod
+    def _one_path_sessions(dataset):
+        # unsharded and 3-shard: the planner has one path for both
+        sessions = [Session(dataset), Session(dataset, shards=3)]
+        assert [s.shard_count for s in sessions] == [1, 3]
+        return sessions
 
+    @staticmethod
+    def _query_without_index(session, spec):
+        stats = session.dataset.access_stats
+        before = stats.node_accesses
+        value = session.query(spec).to_raw()
+        assert stats.node_accesses == before  # the count kernel reads no index
+        return value
+
+    def test_reverse_skyline_both_kernel_paths(self, certain_ds):
         expected = reverse_skyline_bruteforce(certain_ds, Q)
-        spec = ReverseSkylineSpec(q=Q)
-        # the dense broadcast kernel, then (past its size cap) the
-        # batched packed windows: both against the quadratic reference
-        assert Session(certain_ds).query(spec).to_raw() == expected
-        monkeypatch.setattr(plan_module, "VECTORIZED_MAX_N", 1)
-        assert Session(certain_ds).query(spec).to_raw() == expected
+        sessions = self._one_path_sessions(certain_ds)
+        for session in sessions:
+            spec = ReverseSkylineSpec(q=Q)
+            assert self._query_without_index(session, spec) == expected
 
-    def test_k_skyband_both_kernel_paths(self, certain_ds, monkeypatch):
-        import repro.engine.plan as plan_module
-
-        expected = [
-            oid for oid in certain_ds.ids()
-            if is_reverse_k_skyband(certain_ds, oid, Q, 3)
-        ]
-        spec = ReverseKSkybandSpec(q=Q, k=3)
-        assert Session(certain_ds).query(spec).to_raw() == expected
-        monkeypatch.setattr(plan_module, "VECTORIZED_MAX_N", 1)
-        assert Session(certain_ds).query(spec).to_raw() == expected
+    def test_k_skyband_both_kernel_paths(self, certain_ds):
+        counts = reference.dominator_counts(certain_ds.points, Q)
+        ids = certain_ds.ids()
+        sessions = self._one_path_sessions(certain_ds)
+        for k in (1, 2, 3):
+            expected = [ids[i] for i in range(len(ids)) if counts[i] < k]
+            assert expected == [
+                oid for oid in ids if is_reverse_k_skyband(certain_ds, oid, Q, k)
+            ]
+            for session in sessions:
+                spec = ReverseKSkybandSpec(q=Q, k=k)
+                assert self._query_without_index(session, spec) == expected
 
     def test_cr_causality_matches_direct(self, certain_ds):
         session = Session(certain_ds)
@@ -362,17 +375,6 @@ class TestSpecLayer:
         plan = session.plan(PRSQSpec(q=Q, alpha=ALPHA))
         text = plan.explain()
         assert "prsq" in text and "1." in text
-
-    def test_large_dataset_falls_back_to_index_path(self, certain_ds, monkeypatch):
-        import repro.engine.plan as plan_module
-
-        expected = reverse_skyline(certain_ds, Q)
-        monkeypatch.setattr(plan_module, "VECTORIZED_MAX_N", 1)
-        session = Session(certain_ds)  # n > 1: planner must pick the R-tree path
-        assert session.query(ReverseSkylineSpec(q=Q)).to_raw() == expected
-        assert session.query(ReverseKSkybandSpec(q=Q, k=2)).to_raw() == (
-            reverse_k_skyband(certain_ds, Q, 2)
-        )
 
 
 class TestCertainDatasetFingerprint:

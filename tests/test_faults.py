@@ -172,6 +172,41 @@ class TestWorkerCrashRecovery:
                     SPECS, ParallelExecutor(workers=2, chunk_size=2)
                 )
 
+    def test_worker_dying_during_submission_recovers(
+        self, crash_session, monkeypatch
+    ):
+        # The killed worker breaks the pool before the second chunk is
+        # submitted, so submit() itself raises BrokenProcessPool.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        import repro.engine.executor as executor_module
+
+        held = []
+
+        class SubmitAfterCrash(ProcessPoolExecutor):
+            def submit(self, fn, *args, **kwargs):
+                future = super().submit(fn, *args, **kwargs)
+                if not held:
+                    held.append(future)
+                    broken = future.exception(timeout=30)
+                    assert isinstance(broken, BrokenProcessPool)
+                return future
+
+        monkeypatch.setattr(
+            executor_module, "ProcessPoolExecutor", SubmitAfterCrash
+        )
+        serial = crash_session.execute_batch(SPECS, SerialExecutor())
+        plan = FaultPlan(seed=0, rules=(
+            FaultRule(seam="worker.chunk", hit=1, action="kill"),
+        ))
+        with faults.installed(plan):
+            parallel = crash_session.execute_batch(
+                SPECS, ParallelExecutor(workers=2, chunk_size=2)
+            )
+        assert len(held) == 1
+        assert [o.value for o in parallel] == [o.value for o in serial]
+
     def test_stream_recovers_in_order(self, crash_session):
         serial = crash_session.execute_batch(SPECS, SerialExecutor())
         plan = FaultPlan(seed=0, rules=(

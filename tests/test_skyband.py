@@ -60,6 +60,41 @@ class TestQueries:
                 dominators_of_query(ds, oid, q, use_index=False)
             )
 
+    @pytest.mark.parametrize("use_index", [True, False])
+    def test_dominators_match_scalar_scan_with_boundary_hits(self, use_index):
+        # an = (4, 4), q = (5, 5): the window is [3, 5] x [3, 5].  Points
+        # on its edges either dominate (one distance equal to q's, the
+        # other smaller) or tie q exactly; a twin of an dominates too.
+        points = [
+            [4.0, 4.0],  # an
+            [3.0, 4.5],  # edge, dominates
+            [5.0, 4.0],  # edge, dominates
+            [4.5, 5.0],  # edge, dominates
+            [5.0, 3.0],  # corner, ties q
+            [3.0, 5.0],  # corner, ties q
+            [4.0, 4.0],  # twin of an, dominates
+            [5.0, 5.0],  # at q, ties q
+            [6.0, 4.0],  # outside the window
+        ]
+        ds = CertainDataset(points, ids=[f"p{i}" for i in range(len(points))])
+        q = np.array([5.0, 5.0])
+        for oid in ds.ids():
+            center = ds.point_of(oid)
+            expected = sorted(
+                (
+                    other.oid
+                    for other in ds.others(oid)
+                    if dynamically_dominates(other.samples[0], q, center)
+                ),
+                key=repr,
+            )
+            assert dominators_of_query(ds, oid, q, use_index=use_index) == (
+                expected
+            )
+        assert dominators_of_query(ds, "p0", q, use_index=use_index) == [
+            "p1", "p2", "p3", "p6"
+        ]
+
     def test_invalid_k(self, band_dataset):
         with pytest.raises(ValueError):
             reverse_k_skyband(band_dataset, [5.0, 5.0], k=0)
