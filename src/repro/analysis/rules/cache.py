@@ -1,16 +1,16 @@
 """Cache/registry-discipline rules.
 
-The LRU result cache is shared across sessions, datasets, versions and
-shard layouts; its soundness rests on two structural conventions that
-nothing previously checked:
+The LRU result cache is shared across sessions, datasets and versions;
+its soundness rests on two structural conventions that nothing
+previously checked:
 
 * every :class:`~repro.engine.spec.QuerySpec` subclass states its
   ``cacheable`` / ``mutates`` contract **explicitly** (PR 4's update
   family exists precisely because the defaults were wrong for it — a
   cached mutation silently does not run, a worker-fanned mutation is
   silently lost);
-* every cache key contains the dataset fingerprint / layout digest, the
-  component that makes stale hits impossible after live updates.
+* every cache key contains the dataset fingerprint, the component that
+  makes stale hits impossible after live updates.
 """
 
 from __future__ import annotations
@@ -68,20 +68,19 @@ class SpecContractRule(Rule):
 
 
 class CacheKeyFingerprintRule(Rule):
-    """RPR202: cache keys must carry the fingerprint/layout component.
+    """RPR202: cache keys must carry the dataset fingerprint.
 
     A key passed to ``*.cache.get_or_compute(...)`` / ``*cache*.put(...)``
     must derive from ``Session._key()`` (which folds in the dataset
-    fingerprint and, when sharded, the partition-layout digest) or
-    visibly include a fingerprint/digest.  A key built from the spec
-    alone serves stale results after any live update.
+    fingerprint) or visibly include a fingerprint/digest.  A key built
+    from the spec alone serves stale results after any live update.
     """
 
     code = "RPR202"
     name = "cache-key-fingerprint"
     rationale = (
-        "a cache key without the dataset fingerprint/layout digest serves "
-        "stale results after live updates; build keys via Session._key()"
+        "a cache key without the dataset fingerprint serves stale results "
+        "after live updates; build keys via Session._key()"
     )
     node_types = (ast.Call,)
     default_paths = ("src/repro/*",)
@@ -110,7 +109,7 @@ class CacheKeyFingerprintRule(Rule):
         ctx.report(
             self,
             node,
-            f"cache key for {receiver}.{func.attr}() has no fingerprint/"
-            "layout-digest component; build it with Session._key(...) so "
-            "live updates can never serve stale entries",
+            f"cache key for {receiver}.{func.attr}() has no fingerprint "
+            "component; build it with Session._key(...) so live updates "
+            "can never serve stale entries",
         )

@@ -1,7 +1,7 @@
 """Determinism rules: the bit-identical-results contract, statically.
 
 The engine's hardest property is that every query result is bit-identical
-across runs, kernels, shard counts, and worker fan-out.  Three things
+across runs, kernels, and worker fan-out.  Three things
 have historically threatened it: wall-clock reads leaking into outputs,
 unseeded random number generation, and iteration order of unordered
 containers flowing into result positions (the PR 3 bug class — a

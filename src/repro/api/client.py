@@ -62,10 +62,8 @@ def connect(
 
     *dataset* may be an in-memory dataset or a CSV path (``dataset_kind``
     selects the ``uncertain`` long format or the ``certain`` wide format).
-    Keyword arguments (``cache_size``, ``cache``, ``build_index``,
-    ``shards``) pass through to the underlying
-    :class:`~repro.engine.session.Session`; ``shards=k`` STR-partitions
-    the dataset into k spatial shards with bit-identical results.
+    Keyword arguments (``cache_size``, ``cache``, ``build_index``) pass
+    through to the underlying :class:`~repro.engine.session.Session`.
 
     ``trace`` turns on phase-level tracing: pass ``True`` for an in-memory
     :class:`repro.obs.Tracer`, a path or writable stream for an NDJSON
@@ -123,11 +121,6 @@ class Client:
     @property
     def fingerprint(self) -> str:
         return self.session.fingerprint
-
-    @property
-    def shard_count(self) -> int:
-        """Spatial shard count of the session's dataset (1 if unsharded)."""
-        return self.session.shard_count
 
     @property
     def tracer(self) -> Optional[obs.Tracer]:

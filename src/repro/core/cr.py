@@ -34,10 +34,10 @@ def confirm_dominators(
     """Window-query hits that really dominate ``q`` w.r.t. ``an_point``.
 
     One batched :func:`repro.engine.kernels.dominance_mask` call over the
-    stacked hit points, sorted for deterministic output.  *an_oid*, the
-    object at ``an_point``, is left out (its dominators come from
-    P - {an}); ``None`` keeps every hit, for hits drawn from another
-    dataset (the bichromatic products).
+    hits' rows of ``dataset.points``, gathered by position, sorted for
+    deterministic output.  *an_oid*, the object at ``an_point``, is left
+    out (its dominators come from P - {an}); ``None`` keeps every hit,
+    for hits drawn from another dataset (the bichromatic products).
     """
     from repro.engine.kernels import dominance_mask
 
@@ -47,7 +47,7 @@ def confirm_dominators(
         pool = [oid for oid in hits if oid != an_oid]
     if not pool:
         return []
-    points = np.stack([dataset.point_of(oid) for oid in pool])
+    points = dataset.points[dataset._positions(pool)]
     dominating = dominance_mask(points, qq, an_point)
     return sorted(
         (oid for oid, hit in zip(pool, dominating) if hit), key=repr
@@ -84,7 +84,7 @@ def compute_causality_certain(
     with access_ctx as snapshot:
         with _span("filter", use_index=use_index) as filter_span:
             if use_index:
-                hits = dataset.spatial_index().range_search(window)
+                hits = dataset.packed.range_search(window)
             else:
                 hits = dataset.ids()
             candidates = confirm_dominators(

@@ -68,7 +68,7 @@ def naive_ii(
     with access_ctx as snapshot:
         with _span("filter", use_index=use_index) as filter_span:
             hits = (
-                dataset.spatial_index().range_search(window)
+                dataset.packed.range_search(window)
                 if use_index
                 else dataset.ids()
             )

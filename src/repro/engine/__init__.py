@@ -10,7 +10,7 @@ algorithms:
   reverse k-skyband, reverse top-k);
 * :mod:`~repro.engine.plan` — compiles specs into executable plans, one
   physical path per query family (reverse skylines and k-skybands count
-  dominators in one broadcast kernel, at any size and shard count);
+  dominators in one broadcast kernel, at any size);
 * :mod:`~repro.engine.executor` — serial and multiprocess batch
   execution with deterministic result ordering;
 * :mod:`~repro.engine.cache` — LRU result/probability cache keyed by

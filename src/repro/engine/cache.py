@@ -1,14 +1,10 @@
 """LRU result cache for the query-execution engine.
 
 Keys are opaque hashable tuples built by :class:`repro.engine.session.
-Session` from the dataset fingerprint, the partition-layout digest when
-the dataset is sharded, and the query spec's own cache key.  The
-fingerprint component lets a session over a modified dataset share a
+Session` from the dataset fingerprint and the query spec's own cache key.
+The fingerprint component lets a session over a modified dataset share a
 cache object with its predecessor without ever hitting stale entries (the
-old entries simply age out of the LRU order); the layout component keeps
-re-shardings of the *same* data disjoint, since execution metadata —
-node accesses, phase timings — is partition-dependent even though result
-values are not.
+old entries simply age out of the LRU order).
 """
 
 from __future__ import annotations

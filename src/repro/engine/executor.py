@@ -103,34 +103,7 @@ def _dataset_payload(dataset: UncertainDataset) -> Dict[str, Any]:
     # the shared stats counter).  Only shipped when already frozen: a lazy
     # parent stays lazy end to end.
     payload["packed"] = dataset._packed
-    layout = dataset.layout_digest()
-    if layout is not None:
-        # Sharded parents ship their exact assignment (and each shard's
-        # frozen arrays), so workers reproduce the partition bit-for-bit —
-        # same layout digest, same cache keys — with zero STR recomputes
-        # and zero per-shard rebuilds.
-        payload["sharding"] = {
-            "requested": dataset.requested_shards,
-            "assignment": dataset.layout.assignment(),
-            "packed": [shard._packed for shard in dataset.shards()],
-        }
     return payload
-
-
-def _restore_sharding(
-    dataset: UncertainDataset, sharding: Dict[str, Any]
-) -> UncertainDataset:
-    from repro.uncertain.sharded import shard_dataset
-
-    sharded = shard_dataset(
-        dataset,
-        sharding["requested"],
-        assignment=sharding["assignment"],
-    )
-    for shard, snapshot in zip(sharded.shards(), sharding["packed"]):
-        if snapshot is not None:  # a lazy parent ships unfrozen shards
-            shard.adopt_packed(snapshot)
-    return sharded
 
 
 def _restore_dataset(payload: Dict[str, Any]) -> UncertainDataset:
@@ -148,9 +121,6 @@ def _restore_dataset(payload: Dict[str, Any]) -> UncertainDataset:
     packed = payload.get("packed")
     if packed is not None:
         dataset.adopt_packed(packed)
-    sharding = payload.get("sharding")
-    if sharding is not None:
-        dataset = _restore_sharding(dataset, sharding)
     return dataset
 
 
@@ -352,9 +322,7 @@ class ParallelExecutor(Executor):
         Optional[faults.FaultPlan],
     ]:
         if session.build_index:
-            # Freeze once, ship to all (per-shard snapshots for a sharded
-            # dataset, the one global snapshot otherwise).
-            session.dataset.warm_index()
+            session.dataset.packed  # freeze once, ship to all
         payload = _dataset_payload(session.dataset)
         pdf_objects = (
             list(session._pdf_objects.values())

@@ -4,9 +4,8 @@ executable plan against a :class:`~repro.engine.session.Session`.
 A plan is a small value object: the ordered step names (for explain/debug
 output) plus a runner closure.  Each query family has one physical path:
 the reverse skyline and k-skyband plans run the dominator-count kernel
-over the dataset's points at every size and shard count, and the
-causality plans run the paper's filter and refinement over the packed
-index.
+over the dataset's points at every size, and the causality plans run the
+paper's filter and refinement over the packed index.
 """
 
 from __future__ import annotations

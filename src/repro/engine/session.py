@@ -160,13 +160,6 @@ class Session:
         and each outcome carries a ``phases`` wall-time breakdown.  With
         ``None`` (the default) the instrumentation sites resolve to a
         shared no-op span.
-    shards:
-        With ``shards > 1`` the dataset is STR-partitioned into that many
-        spatial shards (:func:`repro.uncertain.sharded.shard_dataset`)
-        and every window-filter phase scatter-gathers across the
-        per-shard indexes; results stay bit-identical to ``shards=1``
-        (property-tested).  An already-sharded dataset is used as-is; the
-        default ``None`` leaves an unsharded dataset unsharded.
     """
 
     def __init__(
@@ -176,16 +169,7 @@ class Session:
         cache_size: int = 4096,
         build_index: bool = True,
         tracer: Optional[obs.Tracer] = None,
-        shards: Optional[int] = None,
     ):
-        if (
-            shards is not None
-            and shards > 1
-            and dataset.layout_digest() is None
-        ):
-            from repro.uncertain.sharded import shard_dataset
-
-            dataset = shard_dataset(dataset, shards)
         self.dataset = dataset
         self.build_index = build_index
         self.tracer = tracer
@@ -203,12 +187,12 @@ class Session:
             self.cache = cache
         self._pdf_objects: Dict[Hashable, ContinuousUncertainObject] = {}
         if build_index:
-            # Freeze the packed snapshot(s) every read traverses now.  If
-            # the dataset already holds them (the worker array handoff),
-            # this is a no-op and **no pointer tree is built at all**;
-            # otherwise the bulk load runs once and the freeze adds one
-            # O(n) array pass.  A sharded dataset warms every shard.
-            dataset.warm_index()
+            # Freeze the packed snapshot every read traverses now.  If the
+            # dataset already holds it (the worker array handoff), this is
+            # a no-op and **no pointer tree is built at all**; otherwise
+            # the bulk load runs once and the freeze adds one O(n) array
+            # pass.
+            dataset.packed
 
     # ------------------------------------------------------------------
     # construction variants
@@ -276,25 +260,8 @@ class Session:
     def cache_stats(self) -> Dict[str, float]:
         return self.cache.stats.as_dict()
 
-    @property
-    def shard_count(self) -> int:
-        """Spatial shard count of the underlying dataset (1 if unsharded)."""
-        return self.dataset.shard_count
-
     def _key(self, *parts: Hashable) -> Tuple:
-        """Result-cache key: fingerprint, partition layout (if any), spec.
-
-        The layout digest rides along whenever the dataset is sharded.
-        Results are bit-identical across layouts (property-tested), but
-        execution metadata — node accesses, phase timings — is not, and a
-        re-shard of the same data must never serve entries whose stats
-        describe a different partition.  Unsharded sessions keep the
-        historical ``(fingerprint, *spec)`` keys, so existing shared
-        caches stay warm across this change.
-        """
-        layout = self.dataset.layout_digest()
-        if layout is not None:
-            return (self.fingerprint, "layout", layout) + parts
+        """Result-cache key: the dataset fingerprint, then the spec parts."""
         return (self.fingerprint,) + parts
 
     def _check_spec(self, spec: QuerySpec) -> None:
@@ -555,7 +522,7 @@ class Session:
         if pdf_objects is not None:
             self._pdf_objects = {obj.oid: obj for obj in pdf_objects}
         if self.build_index:
-            dataset.warm_index()
+            dataset.packed  # freeze now, as at construction
 
     def __repr__(self) -> str:
         kind = "certain" if self.is_certain else "uncertain"

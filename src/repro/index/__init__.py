@@ -1,10 +1,9 @@
 """R-tree indexing with node-access (I/O) accounting."""
 
-from repro.index.bulk import bulk_load, str_partition
+from repro.index.bulk import bulk_load
 from repro.index.node import Node
 from repro.index.packed import PackedRTree
 from repro.index.rtree import DEFAULT_PAGE_SIZE, RTree, fanout_for_page
-from repro.index.sharded import ShardedIndex
 from repro.index.stats import AccessSnapshot, AccessStats
 
 __all__ = [
@@ -14,8 +13,6 @@ __all__ = [
     "Node",
     "PackedRTree",
     "RTree",
-    "ShardedIndex",
     "bulk_load",
     "fanout_for_page",
-    "str_partition",
 ]

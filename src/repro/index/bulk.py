@@ -11,8 +11,6 @@ from __future__ import annotations
 import math
 from typing import Any, List, Sequence, Tuple
 
-import numpy as np
-
 from repro.geometry.point import PointLike
 from repro.geometry.rectangle import Rect
 from repro.index.node import Node
@@ -73,50 +71,6 @@ def _pack_internal(children: List[Node], dims: int, capacity: int) -> List[Node]
         node.recompute_mbr()
         parents.append(node)
     return parents
-
-
-def str_partition(centers: np.ndarray, groups: int) -> List[np.ndarray]:
-    """Split row indices of *centers* into exactly *groups* STR tiles.
-
-    The same sort-tile scheme :func:`bulk_load` packs leaves with, but
-    driven by a *group count* instead of a node capacity: sort on the
-    first dimension, cut into slabs, distribute the remaining group
-    budget over the slabs, recurse on the next dimension.  Used by
-    dataset sharding, where the number of partitions (not their size) is
-    the contract.
-
-    Returns ``groups`` index arrays (ascending within each group, so a
-    partition of a dataset keeps shard-internal dataset order).  Every
-    row lands in exactly one group and — because ``groups`` is clamped to
-    ``len(centers)`` by the caller's contract — no group is empty.  Fully
-    deterministic: stable sorts on coordinates, ties broken by row index.
-    """
-    centers = np.asarray(centers, dtype=np.float64)
-    n, dims = centers.shape
-    groups = max(1, min(int(groups), n))
-
-    def split(indices: np.ndarray, axis: int, k: int) -> List[np.ndarray]:
-        if k <= 1 or indices.size == 0:
-            return [indices]
-        order = indices[np.argsort(centers[indices, axis], kind="stable")]
-        if axis >= dims - 1:
-            return list(np.array_split(order, k))
-        slabs = min(k, math.ceil(k ** (1.0 / (dims - axis))))
-        slab_chunks = np.array_split(order, slabs)
-        base, extra = divmod(k, len(slab_chunks))
-        out: List[np.ndarray] = []
-        for i, chunk in enumerate(slab_chunks):
-            out.extend(split(chunk, axis + 1, base + (1 if i < extra else 0)))
-        return out
-
-    parts = split(np.arange(n, dtype=np.intp), 0, groups)
-    if any(part.size == 0 for part in parts):
-        # Slab/budget rounding left a group starved (possible when groups
-        # is close to n): fall back to a single-axis equal cut, which can
-        # never produce an empty group for groups <= n.
-        order = np.argsort(centers[:, 0], kind="stable").astype(np.intp)
-        parts = list(np.array_split(order, groups))
-    return [np.sort(part) for part in parts]
 
 
 def _str_tile(items: List, dims: int, capacity: int, key) -> List[List]:

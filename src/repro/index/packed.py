@@ -388,10 +388,6 @@ class PackedRTree:
     # ------------------------------------------------------------------
     # grouped traversal core
     # ------------------------------------------------------------------
-    def entry_payloads(self, entries: np.ndarray) -> List[Any]:
-        """Payloads of the entry indices *entries*, in order."""
-        return [self.payloads[e] for e in entries.tolist()]
-
     def group_hits(
         self, lo: np.ndarray, hi: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:

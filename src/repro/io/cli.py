@@ -9,7 +9,6 @@ Usage (after ``pip install -e .``)::
     python -m repro batch    --data data.csv --queries queries.json --workers 4
     python -m repro batch    --data data.csv --queries queries.json --stream
     python -m repro batch    --data data.csv --queries queries.json --trace t.ndjson
-    python -m repro batch    --data data.csv --queries queries.json --shards 8
     python -m repro stats    --data data.csv --queries queries.json
     python -m repro update   --data data.csv --ops ops.ndjsonl --out new.csv
     python -m repro serve    --data data.csv --port 7733 --threads 4
@@ -162,15 +161,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="write one NDJSON span tree per query to FILE and add a "
         "run.phases breakdown to every envelope",
     )
-    batch.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="K",
-        help="STR-partition the dataset into K spatial shards; filter "
-        "phases scatter-gather per shard with bit-identical results "
-        "(default 1 = unsharded)",
-    )
     out_fmt = batch.add_mutually_exclusive_group()
     out_fmt.add_argument(
         "--json",
@@ -215,14 +205,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=4096,
         help="LRU result-cache capacity (default 4096; 0 disables caching)",
-    )
-    stats.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="K",
-        help="STR-partition the dataset into K spatial shards (shard "
-        "counters/gauges appear in the metrics snapshot; default 1)",
     )
 
     update = sub.add_parser(
@@ -304,14 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="pending mutations per dataset (default 128)")
     serve.add_argument("--per-connection", type=int, default=32,
                        help="in-flight requests per connection (default 32)")
-    serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        metavar="K",
-        help="STR-partition every hosted dataset into K spatial shards "
-        "(snapshot publication and results unchanged; default 1)",
-    )
     serve.add_argument(
         "--fault-plan",
         metavar="SEED|JSON|FILE",
@@ -501,7 +475,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
             cache_size=0 if no_cache else args.cache_size,
             build_index=executor is None,
             tracer=tracer,
-            shards=args.shards,
         )
     )
     batch = client.batch().extend(specs)
@@ -566,11 +539,9 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     failure_note = f", {failures} failed" if failures else ""
     trace_note = f", trace -> {args.trace}" if args.trace is not None else ""
     stop_note = f", stopped early: {stopped}" if stopped else ""
-    shard_note = f", shards={args.shards}" if args.shards > 1 else ""
     print(
         f"# {total} queries in {elapsed:.3f}s "
-        f"({total / elapsed:.1f} q/s), workers={args.workers}"
-        f"{shard_note}, "
+        f"({total / elapsed:.1f} q/s), workers={args.workers}, "
         f"{cache_note}{failure_note}{trace_note}{stop_note}",
         file=sys.stderr,
     )
@@ -605,15 +576,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             dataset,
             cache_size=max(args.cache_size, 0),
             build_index=executor is None,
-            shards=args.shards,
         )
     )
     # Reset first so the snapshot reflects exactly this batch (parallel
-    # worker deltas merge back into the same registry).  The shard gauge
-    # is re-stated post-reset so the snapshot still reports the topology.
+    # worker deltas merge back into the same registry).
     obs.registry().reset()
-    if client.shard_count > 1:
-        obs.registry().gauge("shard.count").set(client.shard_count)
     started = time.perf_counter()
     envelopes = (
         client.batch()
@@ -624,10 +591,9 @@ def _cmd_stats(args: argparse.Namespace) -> int:
     failures = sum(not e.ok for e in envelopes)
 
     print(json.dumps(obs.registry().snapshot(), indent=2, sort_keys=True))
-    shard_note = f", shards={args.shards}" if args.shards > 1 else ""
     print(
         f"# {len(envelopes)} queries in {elapsed:.3f}s, "
-        f"workers={args.workers}{shard_note}"
+        f"workers={args.workers}"
         f"{f', {failures} failed' if failures else ''}",
         file=sys.stderr,
     )
@@ -772,7 +738,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_queue=args.max_queue,
         write_queue=args.write_queue,
         per_connection=args.per_connection,
-        shards=max(args.shards, 1),
         fault_plan=fault_plan,
     )
 
@@ -780,11 +745,10 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         names = ", ".join(
             f"{name} (n={len(ds)})" for name, ds in datasets.items()
         )
-        shard_note = f" shards={config.shards}" if config.shards > 1 else ""
         print(
             f"# serving {names} on {config.host}:{server.port} "
             f"[threads={config.threads} max_inflight={config.max_inflight} "
-            f"max_queue={config.max_queue}{shard_note}] — "
+            f"max_queue={config.max_queue}] — "
             "NDJSON + HTTP, Ctrl-C stops",
             file=sys.stderr,
             flush=True,

@@ -145,6 +145,12 @@ def _prsq_probabilities_batched(
     return ProbabilityMap(tensor.ids, values)
 
 
+def _check_alpha(alpha: float) -> None:
+    """Reject a threshold outside Definition 4's ``(0, 1]`` (NaN too)."""
+    if not 0.0 < alpha <= 1.0:
+        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+
+
 def probabilistic_reverse_skyline(
     dataset: UncertainDataset,
     q: PointLike,
@@ -152,8 +158,7 @@ def probabilistic_reverse_skyline(
     use_index: bool = True,
 ) -> List[Hashable]:
     """Object ids whose ``Pr(u) >= alpha`` (the PRSQ answer set)."""
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    _check_alpha(alpha)
     probabilities = prsq_probability_map(dataset, q, use_index=use_index)
     return [oid for oid, pr in probabilities.items() if pr >= alpha]
 
@@ -165,6 +170,7 @@ def prsq_non_answers(
     use_index: bool = True,
 ) -> List[Hashable]:
     """Object ids that are *non-answers* (the CRP inputs)."""
+    _check_alpha(alpha)
     probabilities = prsq_probability_map(dataset, q, use_index=use_index)
     return [oid for oid, pr in probabilities.items() if pr < alpha]
 
@@ -177,5 +183,6 @@ def is_prsq_answer(
     use_index: bool = True,
 ) -> Tuple[bool, float]:
     """Membership plus the underlying probability for one object."""
+    _check_alpha(alpha)
     pr = reverse_skyline_probability(dataset, oid, q, use_index=use_index)
     return pr >= alpha, pr

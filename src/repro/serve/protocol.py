@@ -76,10 +76,7 @@ class ServeConfig:
     an ``overloaded`` envelope instead of waiting), ``write_queue`` the
     single-writer queue of pending mutations, and ``per_connection`` the
     number of requests one connection may keep in flight before further
-    frames are answered ``overloaded`` immediately.  ``shards > 1``
-    STR-partitions every hosted raw dataset into that many spatial
-    shards (results stay bit-identical; prepared :class:`Session` objects
-    are hosted as given).
+    frames are answered ``overloaded`` immediately.
 
     ``idem_window`` bounds the per-dataset idempotency window (applied
     mutation results kept for retry dedup); ``fault_plan`` installs a
@@ -97,7 +94,6 @@ class ServeConfig:
     per_connection: int = 32
     max_line_bytes: int = 1 << 20
     drain_timeout_s: float = 5.0
-    shards: int = 1
     idem_window: int = 1024
     fault_plan: Optional[FaultPlan] = None
 

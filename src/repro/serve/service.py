@@ -132,17 +132,10 @@ class DatasetState:
             "fingerprint": published.fingerprint,
             "kind": type(published.dataset).__name__,
             "write_queue_depth": self.writer.depth,
-            "shards": published.shard_count,
             "status": self.status,
         }
         if self.writer.dead and self.writer.death_reason:
             payload["degraded_reason"] = self.writer.death_reason
-        layout = published.dataset.layout_digest()
-        if layout is not None:
-            payload["layout_digest"] = layout
-            payload["shard_sizes"] = [
-                len(shard) for shard in published.dataset.shards()
-            ]
         return payload
 
 
@@ -181,11 +174,7 @@ class DatasetService:
             session = (
                 item
                 if isinstance(item, Session)
-                else Session(
-                    item,
-                    cache=self.cache,
-                    shards=self.config.shards,
-                )
+                else Session(item, cache=self.cache)
             )
             self._states[name] = DatasetState(
                 name, session, self._pool,

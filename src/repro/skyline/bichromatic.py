@@ -41,7 +41,7 @@ def product_dominators(
         )
     if use_index:
         window = dominance_rectangle(center, qq)
-        pool = products.spatial_index().range_search(window)
+        pool = products.packed.range_search(window)
     else:
         pool = products.ids()
     # Products are another dataset: none is excluded, so one co-located
@@ -67,7 +67,7 @@ def bichromatic_reverse_skyline(
         )
     centers = [customer.samples[0] for customer in customers]
     windows = [dominance_rectangle(center, qq) for center in centers]
-    hits_per = products.spatial_index().range_search_many(windows)
+    hits_per = products.packed.range_search_many(windows)
     members: List[Hashable] = []
     for customer, center, hits in zip(customers, centers, hits_per):
         if not any(

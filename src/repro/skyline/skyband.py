@@ -45,7 +45,7 @@ def dominators_of_query(
     qq = as_point(q, dims=dataset.dims)
     if use_index:
         window = dominance_rectangle(an_point, qq)
-        pool = dataset.spatial_index().range_search(window)
+        pool = dataset.packed.range_search(window)
     else:
         pool = dataset.ids()
     return confirm_dominators(dataset, pool, oid, qq, an_point)
@@ -67,8 +67,7 @@ def reverse_k_skyband(
 
     One :func:`~repro.engine.kernels.dominator_counts` pass over
     ``dataset.points`` counts every object's dominators at once; members
-    come back in dataset order.  No index is read, so a sharded dataset
-    answers exactly like an unsharded one.
+    come back in dataset order.  No index is read.
     """
     from repro.engine.kernels import dominator_counts
 

@@ -8,12 +8,6 @@ from repro.uncertain.pdf import (
     TruncatedGaussianObject,
     UniformBoxObject,
 )
-from repro.uncertain.sharded import (
-    PartitionLayout,
-    ShardedCertainDataset,
-    ShardedDataset,
-    shard_dataset,
-)
 from repro.uncertain.tensor import DatasetTensor
 from repro.uncertain.possible_worlds import (
     MAX_ENUMERABLE_WORLDS,
@@ -30,14 +24,10 @@ __all__ = [
     "DatasetDelta",
     "DatasetTensor",
     "MAX_ENUMERABLE_WORLDS",
-    "PartitionLayout",
-    "ShardedCertainDataset",
-    "ShardedDataset",
     "TruncatedGaussianObject",
     "UncertainDataset",
     "UncertainObject",
     "UniformBoxObject",
-    "shard_dataset",
     "is_reverse_skyline_in_world",
     "iter_worlds",
     "reverse_skyline_probability_bruteforce",

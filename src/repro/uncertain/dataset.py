@@ -50,12 +50,6 @@ from repro.uncertain.tensor import DatasetTensor
 class UncertainDataset:
     """An ordered collection of :class:`UncertainObject` with a lazy R-tree."""
 
-    #: Digest header token.  A class attribute (not ``type(self).__name__``)
-    #: so sharded subclasses fingerprint identically to their base — the
-    #: content digest names *what the data is*, never how it is partitioned;
-    #: the partition is named separately by ``layout_digest``.
-    _digest_kind = "UncertainDataset"
-
     def __init__(
         self,
         objects: Iterable[UncertainObject],
@@ -120,40 +114,6 @@ class UncertainDataset:
             )
         return self._packed
 
-    def spatial_index(self):
-        """The traversal structure every index read goes through.
-
-        The packed snapshot here; a sharded dataset returns a
-        :class:`~repro.index.sharded.ShardedIndex` over its shards'
-        snapshots, answering the same ``range_search`` /
-        ``range_search_many`` / ``group_hits`` calls with identical hit
-        sets.
-        """
-        return self.packed
-
-    def warm_index(self) -> None:
-        """Eagerly build the structure :meth:`spatial_index` would return.
-
-        Sessions call this instead of touching :attr:`packed` directly so
-        sharded datasets can warm *their* per-shard structures behind the
-        same call.
-        """
-        self.spatial_index()
-
-    @property
-    def shard_count(self) -> int:
-        """Number of spatial shards (1 for a plain dataset)."""
-        return 1
-
-    def layout_digest(self) -> Optional[str]:
-        """Partition-layout digest, or ``None`` for an unsharded dataset.
-
-        Sharded subclasses return a digest of their exact shard
-        assignment; the engine folds it into cache keys so re-sharding
-        the same data can never alias cached results.
-        """
-        return None
-
     def adopt_packed(self, packed: PackedRTree) -> None:
         """Install a pre-built packed snapshot (the worker array handoff).
 
@@ -214,10 +174,9 @@ class UncertainDataset:
         only its own hits.  Per block of groups the index traverses
         together (:func:`~repro.index.packed.group_blocks`), one sort of
         ``(group, position)`` keys then orders every group of the block,
-        for one index or for the concatenated hits of k shards, so the
-        scratch is one block's hits.
+        so the scratch is one block's hits.
         """
-        index = self.spatial_index()
+        index = self.packed
         n_groups, n = lo.shape[0], len(self._objects)
         table = self._positions(index.payloads) if n_groups > 1 else None
         if exclude is not None:
@@ -227,7 +186,9 @@ class UncertainDataset:
         for start, stop in group_blocks(n_groups, lo.shape[1]):
             groups, entries = index.group_hits(lo[start:stop], hi[start:stop])
             if table is None:
-                positions = self._positions(index.entry_payloads(entries))
+                positions = self._positions(
+                    [index.payloads[e] for e in entries.tolist()]
+                )
             else:
                 positions = table[entries]
             if exclude is not None:
@@ -275,7 +236,7 @@ class UncertainDataset:
             # Object digests are fixed-width (20 bytes), so one join is
             # unambiguous; the header pins type, dims and count.
             hasher.update(
-                f"{self._digest_kind}:{self.dims}:{len(self._objects)}:".encode()
+                f"{type(self).__name__}:{self.dims}:{len(self._objects)}:".encode()
             )
             hasher.update(b"".join(obj.digest() for obj in self._objects))
             self._content_digest = hasher.hexdigest()
@@ -522,17 +483,12 @@ class UncertainDataset:
         index from the incrementally patched pointer tree; no O(n log n)
         rebuild and no sample bytes move.
         """
-        clone = self._snapshot_shell()
-        clone._packed = self.packed.with_stats(clone._access_stats)
-        return clone
-
-    def _snapshot_shell(self) -> "UncertainDataset":
-        """A snapshot without an index: copied id maps, shared contents."""
         clone = self._clone_shell(
             list(self._objects), dict(self._by_id), dict(self._index_of)
         )
         clone._tensor = self._tensor
         clone._content_digest = self.content_digest()
+        clone._packed = self.packed.with_stats(clone._access_stats)
         return clone
 
     def view(self) -> "UncertainDataset":
@@ -565,8 +521,6 @@ class UncertainDataset:
 
 class CertainDataset(UncertainDataset):
     """A dataset of certain points (Section 4), stored as 1-sample objects."""
-
-    _digest_kind = "CertainDataset"
 
     def __init__(
         self,

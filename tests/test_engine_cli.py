@@ -5,6 +5,8 @@ import json
 import pytest
 
 from repro.io.cli import build_parser, main
+from repro.io.csvio import load_certain_csv
+from repro.skyline.reverse import reverse_skyline_bruteforce
 
 
 @pytest.fixture
@@ -224,6 +226,29 @@ class TestBatchEndToEnd:
         )
         assert rc == 1
         assert "unknown query kind" in capsys.readouterr().err
+
+
+class TestCertainBatch:
+    def test_reverse_skyline_certain(self, tmp_path, capsys):
+        data = tmp_path / "certain.csv"
+        rc = main(
+            ["generate", "--kind", "certain", "--n", "30", "--dims", "2",
+             "--seed", "5", "--out", str(data)]
+        )
+        assert rc == 0
+        queries = write_queries(
+            tmp_path, [{"kind": "reverse_skyline", "q": [5.0, 5.0]}]
+        )
+        capsys.readouterr()  # drain the generate banner
+        rc = main(
+            ["batch", "--data", str(data), "--queries", str(queries),
+             "--dataset-kind", "certain", "--json"]
+        )
+        assert rc == 0
+        (envelope,) = json.loads(capsys.readouterr().out)
+        assert envelope["ok"]
+        expected = reverse_skyline_bruteforce(load_certain_csv(data), [5.0, 5.0])
+        assert expected and envelope["value"]["ids"] == expected
 
 
 class TestBatchStreaming:

@@ -46,12 +46,16 @@ class TestParallelParity:
         specs = [
             PRSQSpec(q=(4800.0 + 40.0 * i, 5200.0 - 40.0 * i), alpha=ALPHA)
             for i in range(10)
-        ]
+        ] + [PRSQSpec(q=(4900.0, 5100.0), alpha=ALPHA, want="probabilities")]
         serial = uncertain_session.execute_batch(specs, SerialExecutor())
         parallel = uncertain_session.execute_batch(
             specs, ParallelExecutor(workers=2)
         )
         assert_same_outcomes(serial, parallel)
+        # probabilities must match to the bit, not just compare equal
+        assert {k: v.hex() for k, v in parallel[-1].value.items()} == {
+            k: v.hex() for k, v in serial[-1].value.items()
+        }
 
     def test_mixed_causality_batch(self, uncertain_session):
         non_answers = uncertain_session.query(

@@ -10,6 +10,7 @@ from repro.datasets.synthetic_uncertain import generate_uncertain_dataset
 from repro.engine import (
     CausalityCertainSpec,
     CausalitySpec,
+    DatasetDelta,
     KSkybandCausalitySpec,
     LRUCache,
     PdfCausalitySpec,
@@ -39,6 +40,7 @@ from repro.uncertain.pdf import UniformBoxObject
 from repro.geometry.rectangle import Rect
 
 from tests import reference
+from tests.conftest import make_uncertain_dataset
 
 Q = (5000.0, 5000.0)
 ALPHA = 0.5
@@ -81,13 +83,6 @@ class TestUncertainQueries:
 
 class TestCertainQueries:
     @staticmethod
-    def _one_path_sessions(dataset):
-        # unsharded and 3-shard: the planner has one path for both
-        sessions = [Session(dataset), Session(dataset, shards=3)]
-        assert [s.shard_count for s in sessions] == [1, 3]
-        return sessions
-
-    @staticmethod
     def _query_without_index(session, spec):
         stats = session.dataset.access_stats
         before = stats.node_accesses
@@ -97,23 +92,21 @@ class TestCertainQueries:
 
     def test_reverse_skyline_both_kernel_paths(self, certain_ds):
         expected = reverse_skyline_bruteforce(certain_ds, Q)
-        sessions = self._one_path_sessions(certain_ds)
-        for session in sessions:
-            spec = ReverseSkylineSpec(q=Q)
-            assert self._query_without_index(session, spec) == expected
+        session = Session(certain_ds)
+        spec = ReverseSkylineSpec(q=Q)
+        assert self._query_without_index(session, spec) == expected
 
     def test_k_skyband_both_kernel_paths(self, certain_ds):
         counts = reference.dominator_counts(certain_ds.points, Q)
         ids = certain_ds.ids()
-        sessions = self._one_path_sessions(certain_ds)
+        session = Session(certain_ds)
         for k in (1, 2, 3):
             expected = [ids[i] for i in range(len(ids)) if counts[i] < k]
             assert expected == [
                 oid for oid in ids if is_reverse_k_skyband(certain_ds, oid, Q, k)
             ]
-            for session in sessions:
-                spec = ReverseKSkybandSpec(q=Q, k=k)
-                assert self._query_without_index(session, spec) == expected
+            spec = ReverseKSkybandSpec(q=Q, k=k)
+            assert self._query_without_index(session, spec) == expected
 
     def test_cr_causality_matches_direct(self, certain_ds):
         session = Session(certain_ds)
@@ -310,6 +303,22 @@ class TestFingerprintInvalidation:
         outcome = session.query(spec)
         assert not outcome.run.cached
         assert outcome.to_raw() != before
+
+
+class TestSnapshotIsolation:
+    def test_read_snapshot_isolated_from_writer(self, rng):
+        session = Session(make_uncertain_dataset(rng, 20))
+        spec = PRSQSpec(q=(5.0, 5.0), alpha=0.5, want="probabilities")
+        snapshot = session.read_snapshot()
+        before = snapshot.reader().query(spec).value.probabilities
+        session.apply(
+            DatasetDelta.insertion(UncertainObject("z", [[5.0, 5.1]]))
+        )
+        after = snapshot.reader().query(spec).value.probabilities
+        assert {k: v.hex() for k, v in before.items()} == {
+            k: v.hex() for k, v in after.items()
+        }
+        assert "z" in session.query(spec).value.probabilities
 
 
 class TestSpecLayer:

@@ -187,7 +187,6 @@ class TestCanonicalRangeSearchAny:
 class TestDatasetIntegration:
     def test_spatial_index_selection_and_shared_stats(self, rng):
         dataset = make_uncertain_dataset(rng, n=40)
-        assert dataset.spatial_index() is dataset.packed
         assert dataset.rtree.stats is dataset.access_stats
         assert dataset.packed.stats is dataset.access_stats
 

@@ -135,6 +135,21 @@ class TestQuery:
         with pytest.raises(ValueError):
             probabilistic_reverse_skyline(ds, [1.0, 1.0], alpha=1.2)
 
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, 1.5, float("nan")])
+    @pytest.mark.parametrize(
+        "query",
+        [
+            lambda ds, alpha: probabilistic_reverse_skyline(ds, [1.0, 1.0], alpha),
+            lambda ds, alpha: prsq_non_answers(ds, [1.0, 1.0], alpha),
+            lambda ds, alpha: is_prsq_answer(ds, 0, [1.0, 1.0], alpha),
+        ],
+        ids=["probabilistic_reverse_skyline", "prsq_non_answers", "is_prsq_answer"],
+    )
+    def test_alpha_outside_unit_interval_rejected(self, rng, query, alpha):
+        ds = make_uncertain_dataset(rng, n=3, dims=2)
+        with pytest.raises(ValueError, match=r"alpha must be in \(0, 1\]"):
+            query(ds, alpha)
+
     def test_is_prsq_answer_returns_probability(self, two_object_dataset):
         member, pr = is_prsq_answer(two_object_dataset, "u", [3.0, 3.0], alpha=0.5)
         assert member

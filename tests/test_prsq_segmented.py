@@ -5,9 +5,9 @@ CSR ``(offsets, positions)``, and Eq. (3)/(2) for every center runs as one
 segmented kernel over it.  Both must equal the per-object reference to the
 last bit: the same ascending positions and node accesses as one
 ``range_search_any`` per object, and the same probability bits as one
-``reverse_skyline_probability`` per object — unsharded and sharded, with
-tiny chunk budgets forcing many blocks, and with segments long enough for
-any reordering reduction to show.
+``reverse_skyline_probability`` per object — with tiny chunk budgets
+forcing many blocks, and with segments long enough for any reordering
+reduction to show.
 """
 
 from __future__ import annotations
@@ -35,7 +35,6 @@ from repro.prsq.probability import (
 from repro.prsq.query import ProbabilityMap, prsq_probability_map
 from repro.uncertain.dataset import UncertainDataset
 from repro.uncertain.object import UncertainObject
-from repro.uncertain.sharded import shard_dataset
 
 from tests import reference
 from tests.conftest import make_uncertain_dataset
@@ -107,20 +106,20 @@ class TestDominanceBounds:
 
 
 class TestRelevanceSets:
-    @pytest.mark.parametrize("shards", [1, 2, 3])
     @pytest.mark.parametrize("seed", range(4))
-    def test_csr_matches_per_object_search(self, seed, shards):
+    def test_csr_matches_per_object_search(self, seed):
         rng = np.random.default_rng(seed)
-        base = make_uncertain_dataset(rng, 40, max_samples=4)
-        dataset = base if shards == 1 else shard_dataset(base, shards)
+        dataset = make_uncertain_dataset(rng, 40, max_samples=4)
         q = rng.uniform(0.0, 10.0, size=2)
         lo, hi = _tensor_windows(dataset, q)
         centers = np.arange(len(dataset))
         offsets, positions = dataset.relevance_sets(lo, hi, exclude=centers)
         assert offsets.shape == (len(dataset) + 1,) and offsets[0] == 0
-        plain = UncertainDataset(base.objects()).spatial_index()
         for center, windows in enumerate(_windows_per_object(dataset, q)):
-            hits = [base.index_of(o) for o in plain.range_search_any(windows)]
+            hits = [
+                dataset.index_of(o)
+                for o in dataset.packed.range_search_any(windows)
+            ]
             expected = sorted(p for p in hits if p != center)
             got = positions[offsets[center]:offsets[center + 1]].tolist()
             assert got == expected
@@ -159,17 +158,15 @@ class TestRelevanceSets:
         np.testing.assert_array_equal(got[1], expected[1])
         assert wide.node_accesses == narrow.node_accesses
 
-    @pytest.mark.parametrize("shards", [1, 3])
     @pytest.mark.parametrize("exclude_center", [True, False])
-    def test_window_positions_excludes_and_sorts(self, rng, exclude_center, shards):
-        base = make_uncertain_dataset(rng, 30)
-        dataset = base if shards == 1 else shard_dataset(base, shards)
+    def test_window_positions_excludes_and_sorts(self, rng, exclude_center):
+        dataset = make_uncertain_dataset(rng, 30)
         windows = _windows_per_object(dataset, [5.0, 5.0])[4]
         exclude = 4 if exclude_center else None
         got = dataset.window_positions(windows, exclude=exclude)
-        hits = base.rtree.range_search_any(windows)
+        hits = dataset.rtree.range_search_any(windows)
         assert got.tolist() == sorted(
-            base.index_of(oid) for oid in hits if oid != exclude
+            dataset.index_of(oid) for oid in hits if oid != exclude
         )
         # Each window is centred on one of object 4's samples, so object 4
         # always crosses them: only ``exclude`` keeps it out.
@@ -275,24 +272,22 @@ class TestSegmentedEq2:
 
 
 class TestBatchedPRSQ:
-    @pytest.mark.parametrize("shards", [1, 3])
     @pytest.mark.parametrize("seed", range(3))
-    def test_map_bitwise_equals_per_object_loop(self, seed, shards):
+    def test_map_bitwise_equals_per_object_loop(self, seed):
         rng = np.random.default_rng(seed)
-        base = make_uncertain_dataset(rng, 45, max_samples=4)
-        dataset = base if shards == 1 else shard_dataset(base, shards)
+        dataset = make_uncertain_dataset(rng, 45, max_samples=4)
         q = rng.uniform(0.0, 10.0, size=2)
         batched = prsq_probability_map(dataset, q)
         looped = {
-            oid: reverse_skyline_probability(base, oid, q).hex()
-            for oid in base.ids()
+            oid: reverse_skyline_probability(dataset, oid, q).hex()
+            for oid in dataset.ids()
         }
         scalar = {
-            oid: reference.prsq_probability(base, oid, q).hex()
-            for oid in base.ids()
+            oid: reference.prsq_probability(dataset, oid, q).hex()
+            for oid in dataset.ids()
         }
         assert {k: v.hex() for k, v in batched.items()} == looped == scalar
-        assert list(batched) == base.ids()
+        assert list(batched) == dataset.ids()
 
 
 class TestProbabilityMap:
