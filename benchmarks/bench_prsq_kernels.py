@@ -1,10 +1,11 @@
 """Tensorized vs. scalar exact-PRSQ probability (Eqs. (2)/(3)).
 
-Times a batch of `reverse_skyline_probability` evaluations over one
-uncertain dataset against the scalar reference
+Times a batch of Eq. (2) evaluations over one uncertain dataset with the
+tensor kernel (:func:`repro.engine.kernels.eq2_segmented`) against the
+scalar reference
 ``probability_from_matrix(center, dominance_probability_matrix(...))``
-over the same relevant objects, and verifies three properties the engine
-depends on:
+over the same objects, and verifies three properties the engine depends
+on:
 
 * **speedup** — the tensor kernels must beat the scalar reference loop
   by at least ``--min-speedup`` (default 5x, the acceptance bar for a
@@ -29,6 +30,7 @@ from typing import Dict, List
 import numpy as np
 
 from repro.datasets.synthetic_uncertain import generate_uncertain_dataset
+from repro.engine.kernels import eq2_segmented
 from repro.prsq.probability import (
     dominance_probability_matrix,
     probability_from_matrix,
@@ -43,13 +45,44 @@ def _build(objects: int, dims: int, seed: int):
     )
 
 
+def tensor_probability(dataset, oid, q: np.ndarray, use_index: bool) -> float:
+    """Eq. (2) for *oid* with the tensor kernel.
+
+    Pruned, the library path :func:`reverse_skyline_probability`;
+    unpruned, the kernel over the center's row and one segment of every
+    other row.
+    """
+    if use_index:
+        return reverse_skyline_probability(dataset, oid, q)
+    center = dataset.index_of(oid)
+    others = np.delete(np.arange(len(dataset)), center)
+    samples, probabilities, mask = dataset.tensor.rows(
+        [center] + others.tolist()
+    )
+    value = eq2_segmented(
+        samples, probabilities, mask,
+        [0], [0, len(others)], np.arange(1, len(others) + 1), q,
+    )
+    return float(value[0])
+
+
+def scalar_probability(dataset, oid, q: np.ndarray, use_index: bool) -> float:
+    """Eq. (2) for *oid* with the scalar reference, over the objects
+    :func:`relevant_indices` keeps (pruned) or every other object."""
+    center = dataset.get(oid)
+    if use_index:
+        objects = dataset.objects()
+        pool = [objects[i] for i in relevant_indices(dataset, oid, q)]
+    else:
+        pool = dataset.others(oid)
+    matrix = dominance_probability_matrix(center, pool, q)
+    return probability_from_matrix(center, matrix)
+
+
 def run_batch(dataset, targets: List, q: np.ndarray, use_index: bool) -> Dict:
     """Evaluate the batch with the tensor kernels; values and wall time."""
     started = time.perf_counter()
-    values = [
-        reverse_skyline_probability(dataset, oid, q, use_index=use_index)
-        for oid in targets
-    ]
+    values = [tensor_probability(dataset, oid, q, use_index) for oid in targets]
     return {"values": values, "seconds": time.perf_counter() - started}
 
 
@@ -57,16 +90,8 @@ def run_reference(
     dataset, targets: List, q: np.ndarray, use_index: bool
 ) -> Dict:
     """Evaluate the batch with the scalar reference over the same objects."""
-    objects = dataset.objects()
     started = time.perf_counter()
-    values = []
-    for oid in targets:
-        center = dataset.get(oid)
-        relevant = relevant_indices(dataset, oid, q, use_index=use_index)
-        matrix = dominance_probability_matrix(
-            center, [objects[i] for i in relevant], q
-        )
-        values.append(probability_from_matrix(center, matrix))
+    values = [scalar_probability(dataset, oid, q, use_index) for oid in targets]
     return {"values": values, "seconds": time.perf_counter() - started}
 
 
@@ -102,7 +127,7 @@ def bench(
     assert not mismatches, f"tensor/scalar bits diverge for {mismatches!r}"
 
     # Determinism: a fresh dataset (fresh R-tree, fresh tensor) must
-    # reproduce the exact bits, on both the pruned and unpruned paths.
+    # reproduce the exact bits of the library's pruned path.
     replay_ds = _build(objects, dims, seed)
     replay = run_batch(replay_ds, targets, q, use_index=True)
     baseline = run_batch(dataset, targets, q, use_index=True)

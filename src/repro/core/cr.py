@@ -11,7 +11,6 @@ confirmation — time complexity ``O(|R_P|)``.
 from __future__ import annotations
 
 import time
-from contextlib import nullcontext
 from typing import Hashable, List, Optional
 
 import numpy as np
@@ -58,16 +57,11 @@ def compute_causality_certain(
     dataset: CertainDataset,
     an_oid: Hashable,
     q: PointLike,
-    use_index: bool = True,
 ) -> CausalityResult:
     """Run algorithm CR for the non-reverse-skyline object *an_oid*.
 
-    Parameters
-    ----------
-    use_index:
-        When true, collect candidates with one R-tree window query
-        (algorithm CR); when false, linearly scan the dataset (the filter
-        half of Naive-II).
+    Candidates come from one window query on the dataset's packed R-tree,
+    confirmed by :func:`confirm_dominators`.
 
     Raises
     ------
@@ -80,16 +74,10 @@ def compute_causality_certain(
     qq = as_point(q, dims=dataset.dims)
     window = dominance_rectangle(an_point, qq)
 
-    access_ctx = dataset.access_stats.measure() if use_index else nullcontext()
-    with access_ctx as snapshot:
-        with _span("filter", use_index=use_index) as filter_span:
-            if use_index:
-                hits = dataset.packed.range_search(window)
-            else:
-                hits = dataset.ids()
-            candidates = confirm_dominators(
-                dataset, list(hits), an_oid, qq, an_point
-            )
+    with dataset.access_stats.measure() as snapshot:
+        with _span("filter") as filter_span:
+            hits = dataset.packed.range_search(window)
+            candidates = confirm_dominators(dataset, hits, an_oid, qq, an_point)
             filter_span.set(hits=len(hits), candidates=len(candidates))
 
     if not candidates:
@@ -116,7 +104,7 @@ def compute_causality_certain(
                 )
             )
 
-    result.stats.node_accesses = snapshot.node_accesses if snapshot else 0
+    result.stats.node_accesses = snapshot.node_accesses
     result.stats.cpu_time_s = time.perf_counter() - started
     result.stats.candidates = total
     return result

@@ -45,9 +45,7 @@ def verify_repair(
     if result.alpha is None:
         raise ValueError("verify_repair needs a probabilistic result (alpha set)")
     chosen = frozenset(repair) if repair is not None else minimal_repair_set(result)
-    pr = reverse_skyline_probability(
-        dataset, result.an_oid, q, use_index=False, exclude=chosen
-    )
+    pr = reverse_skyline_probability(dataset, result.an_oid, q, exclude=chosen)
     return pr >= result.alpha
 
 
@@ -59,7 +57,7 @@ def what_if(
 ) -> float:
     """``Pr(an)`` after hypothetically deleting *removed* objects."""
     return reverse_skyline_probability(
-        dataset, result.an_oid, q, use_index=False, exclude=set(removed)
+        dataset, result.an_oid, q, exclude=set(removed)
     )
 
 

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from contextlib import nullcontext
 from typing import Hashable, Optional
 
 from repro.core.cp import CPConfig, compute_causality
@@ -50,7 +49,6 @@ def naive_ii(
     dataset: CertainDataset,
     an_oid: Hashable,
     q: PointLike,
-    use_index: bool = True,
     max_candidates: int = MAX_NAIVE_CANDIDATES,
 ) -> CausalityResult:
     """Naive-II: window-query filter + per-candidate subset verification.
@@ -64,17 +62,10 @@ def naive_ii(
     qq = as_point(q, dims=dataset.dims)
     window = dominance_rectangle(an_point, qq)
 
-    access_ctx = dataset.access_stats.measure() if use_index else nullcontext()
-    with access_ctx as snapshot:
-        with _span("filter", use_index=use_index) as filter_span:
-            hits = (
-                dataset.packed.range_search(window)
-                if use_index
-                else dataset.ids()
-            )
-            candidates = confirm_dominators(
-                dataset, list(hits), an_oid, qq, an_point
-            )
+    with dataset.access_stats.measure() as snapshot:
+        with _span("filter") as filter_span:
+            hits = dataset.packed.range_search(window)
+            candidates = confirm_dominators(dataset, hits, an_oid, qq, an_point)
             filter_span.set(candidates=len(candidates))
 
     if not candidates:
@@ -126,7 +117,7 @@ def naive_ii(
                 )
         refine_span.set(subsets_examined=subsets)
 
-    result.stats.node_accesses = snapshot.node_accesses if snapshot else 0
+    result.stats.node_accesses = snapshot.node_accesses
     result.stats.cpu_time_s = time.perf_counter() - started
     result.stats.candidates = len(candidates)
     result.stats.subsets_examined = subsets

@@ -117,7 +117,7 @@ class LRUCache:
 
 
 class NullCache:
-    """The ``--no-cache`` cache: never stores, every lookup is a miss."""
+    """The ``--cache-size 0`` cache: never stores, every lookup is a miss."""
 
     def __init__(self):
         self.maxsize = 0

@@ -23,6 +23,7 @@ format; ``cache_key()`` gives the session a hashable identity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Dict, Hashable, Optional, Tuple
 
@@ -34,11 +35,16 @@ from repro.uncertain.object import UncertainObject
 
 def _point_tuple(q: PointLike) -> Tuple[float, ...]:
     try:
-        return tuple(float(v) for v in q)
+        point = tuple(map(float, q))
     except TypeError:
         raise ValueError(
             f"query point must be a sequence of numbers, got {q!r}"
         ) from None
+    # json.loads parses a bare NaN or Infinity; no dominance test is sound
+    # on one.
+    if not all(map(math.isfinite, point)):
+        raise ValueError(f"coordinates must be finite, got {point!r}")
+    return point
 
 
 def _validate_alpha(alpha: float) -> None:

@@ -146,9 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker processes (1 = serial, default)",
     )
     batch.add_argument(
-        "--no-cache", action="store_true", help="disable the result cache"
-    )
-    batch.add_argument(
         "--cache-size",
         type=int,
         default=4096,
@@ -457,9 +454,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         )
     specs = [spec_from_dict(item) for item in payload]
 
-    no_cache = args.no_cache or args.cache_size <= 0
     executor = (
-        ParallelExecutor(workers=args.workers, cache_size=0 if no_cache else args.cache_size)
+        ParallelExecutor(workers=args.workers, cache_size=args.cache_size)
         if args.workers > 1
         else None
     )
@@ -472,7 +468,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     client = Client(
         Session(
             dataset,
-            cache_size=0 if no_cache else args.cache_size,
+            cache_size=args.cache_size,
             build_index=executor is None,
             tracer=tracer,
         )

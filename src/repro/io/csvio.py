@@ -16,8 +16,9 @@ UncertainObject` on load).
 from __future__ import annotations
 
 import csv
+import math
 from pathlib import Path
-from typing import Dict, Hashable, List, Union
+from typing import Dict, Hashable, List, Sequence, Union
 
 import numpy as np
 
@@ -25,6 +26,14 @@ from repro.uncertain.dataset import CertainDataset, UncertainDataset
 from repro.uncertain.object import UncertainObject
 
 PathLike = Union[str, Path]
+
+
+def _numbers(path: Path, line: int, cells: Sequence[str]) -> List[float]:
+    """*cells* as floats; a NaN or infinite one is an error at *line*."""
+    values = list(map(float, cells))
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{path}:{line}: non-finite value in {list(cells)!r}")
+    return values
 
 
 def save_certain_csv(dataset: CertainDataset, path: PathLike) -> None:
@@ -51,7 +60,7 @@ def load_certain_csv(path: PathLike) -> CertainDataset:
             if not row:
                 continue
             ids.append(row[0])
-            points.append([float(v) for v in row[1:]])
+            points.append(_numbers(path, reader.line_num, row[1:]))
     if not points:
         raise ValueError(f"{path}: no data rows")
     return CertainDataset(np.array(points), ids=ids)
@@ -97,8 +106,9 @@ def load_uncertain_csv(path: PathLike) -> UncertainDataset:
                 samples[oid] = []
                 probs[oid] = []
                 order.append(oid)
-            probs[oid].append(float(row[1]))
-            samples[oid].append([float(v) for v in row[2:]])
+            values = _numbers(path, reader.line_num, row[1:])
+            probs[oid].append(values[0])
+            samples[oid].append(values[1:])
     if not order:
         raise ValueError(f"{path}: no data rows")
     objects = [

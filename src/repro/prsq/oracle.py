@@ -31,11 +31,10 @@ class MembershipOracle:
     relevant_ids:
         Object ids that may influence ``Pr(an)`` (the candidate causes from
         the filter step).  When omitted, the pool is restricted with one
-        Lemma-2 multi-window scan of the dataset's spatial index
-        (*use_index*, default on) — exact, because an object outside every
-        dominance rectangle has an identically-zero Eq. (3) vector — or,
-        with ``use_index=False``, every other object is checked; the zero
-        rows are dropped either way, so the oracle's answers are identical.
+        Lemma-2 multi-window scan of the dataset's spatial index — exact,
+        because an object outside every dominance rectangle has an
+        identically-zero Eq. (3) vector.  Zero rows are dropped, so the
+        oracle's answers equal those over every other object.
     """
 
     def __init__(
@@ -45,7 +44,6 @@ class MembershipOracle:
         q: PointLike,
         alpha: float,
         relevant_ids: Optional[Iterable[Hashable]] = None,
-        use_index: bool = True,
     ):
         if not 0.0 < alpha <= 1.0:
             raise ValueError(f"alpha must be in (0, 1], got {alpha}")
@@ -55,14 +53,12 @@ class MembershipOracle:
         self.alpha = alpha
 
         center = dataset.index_of(an_oid)
-        if relevant_ids is None and use_index:
+        if relevant_ids is None:
             windows = [
                 dominance_rectangle(self.an.samples[i], self.q)
                 for i in range(self.an.num_samples)
             ]
             indices = dataset.window_positions(windows, exclude=center).tolist()
-        elif relevant_ids is None:
-            indices = [i for i in range(len(dataset)) if i != center]
         else:
             indices = sorted(
                 {dataset.index_of(oid) for oid in relevant_ids} - {center}

@@ -21,9 +21,9 @@ The per-dominator / per-sample helpers below
 are the scalar **reference**: they share no kernel with that path, only
 the same left-to-right reductions and the same canonical Eq. (2) product
 order (dataset order of the relevant objects).  The kernels' results are
-bit-identical to them — across runs and across ``use_index=True/False``;
-the parity is property-tested, and the brute-force causality oracle
-evaluates Eq. (2) through them alone.
+bit-identical to them run after run, whether the reference visits the
+relevant objects or every other one; the parity is property-tested, and
+the brute-force causality oracle evaluates Eq. (2) through them alone.
 """
 
 from __future__ import annotations
@@ -91,28 +91,25 @@ def relevant_indices(
     dataset: UncertainDataset,
     oid: Hashable,
     q: PointLike,
-    use_index: bool = True,
     exclude: Optional[Iterable[Hashable]] = None,
 ) -> List[int]:
     """Dataset positions of the objects Eq. (2) must visit, in dataset order.
 
-    With the index, only objects whose MBR crosses one of *oid*'s dominance
-    rectangles can have a non-zero Eq. (3) vector (Lemma 2), found by one
-    packed level-frontier traversal.  Ascending dataset positions fix the
+    Only objects whose MBR crosses one of *oid*'s dominance rectangles can
+    have a non-zero Eq. (3) vector (Lemma 2), found by one packed
+    level-frontier traversal.  Ascending dataset positions fix the
     Eq. (2) floating-point product order, so the returned probability
-    bits are identical across runs and across ``use_index=True/False``.
+    bits are identical across runs and to the unpruned scan over every
+    other object.
     """
     target = dataset.get(oid)
     qq = as_point(q, dims=dataset.dims)
     center = dataset.index_of(oid)
-    if use_index:
-        windows = [
-            dominance_rectangle(target.samples[i], qq)
-            for i in range(target.num_samples)
-        ]
-        positions = dataset.window_positions(windows, exclude=center)
-    else:
-        positions = np.delete(np.arange(len(dataset)), center)
+    windows = [
+        dominance_rectangle(target.samples[i], qq)
+        for i in range(target.num_samples)
+    ]
+    positions = dataset.window_positions(windows, exclude=center)
     if exclude is not None:
         removed = [dataset.index_of(o) for o in exclude if o in dataset]
         positions = positions[~np.isin(positions, removed)]
@@ -123,17 +120,16 @@ def reverse_skyline_probability(
     dataset: UncertainDataset,
     oid: Hashable,
     q: PointLike,
-    use_index: bool = True,
     exclude: Optional[Iterable[Hashable]] = None,
 ) -> float:
     """Eq. (2): the probability of *oid* being a reverse skyline object of ``q``.
 
+    Pruned with the dataset R-tree: only objects whose MBR crosses one of
+    *oid*'s dominance rectangles can have a non-zero Eq. (3) vector
+    (Lemma 2), so only those (:func:`relevant_indices`) are evaluated.
+
     Parameters
     ----------
-    use_index:
-        When true, prune with the dataset R-tree: only objects whose MBR
-        crosses one of *oid*'s dominance rectangles can have a non-zero
-        Eq. (3) vector (Lemma 2), so only those are evaluated exactly.
     exclude:
         Treat these object ids as removed (evaluates ``Pr`` over ``P - Γ``).
 
@@ -145,9 +141,7 @@ def reverse_skyline_probability(
     from repro.engine.kernels import eq2_segmented
 
     qq = as_point(q, dims=dataset.dims)
-    indices = relevant_indices(
-        dataset, oid, qq, use_index=use_index, exclude=exclude
-    )
+    indices = relevant_indices(dataset, oid, qq, exclude=exclude)
     # Only the center's row and its relevant rows: the kernel copies
     # what it is given into slot-major order, O(|relevant|), not O(n).
     samples, probabilities, mask = dataset.tensor.rows(

@@ -80,47 +80,27 @@ class _Items(ItemsView):
 def prsq_probabilities(
     dataset: UncertainDataset,
     q: PointLike,
-    use_index: bool = True,
 ) -> Dict[Hashable, float]:
     """``Pr(u)`` for every object in the dataset, as a plain dict.
 
     The dict form of :func:`prsq_probability_map`.
     """
-    return dict(prsq_probability_map(dataset, q, use_index=use_index).items())
+    return dict(prsq_probability_map(dataset, q).items())
 
 
 def prsq_probability_map(
     dataset: UncertainDataset,
     q: PointLike,
-    use_index: bool = True,
 ) -> ProbabilityMap:
     """``Pr(u)`` for every object in the dataset, in dataset order.
 
-    With the index, the Lemma-2 filter for *all* objects runs as one
-    grouped multi-window traversal of the packed R-tree
+    The Lemma-2 filter for *all* objects runs as one grouped multi-window
+    traversal of the packed R-tree
     (:meth:`~repro.uncertain.dataset.UncertainDataset.relevance_sets`),
     and Eq. (3)/(2) for all of them as one segmented kernel over the
     resulting CSR relevance sets, instead of one scan and one evaluation
     per object; hit sets, node accesses and result bits are identical to
-    the per-object loop, which ``use_index=False`` runs unpruned.
-    """
-    qq = as_point(q, dims=dataset.dims)
-    if use_index:
-        return _prsq_probabilities_batched(dataset, qq)
-    with _span("probability", mode="per-object", objects=len(dataset)):
-        return ProbabilityMap(
-            dataset.ids(),
-            [
-                reverse_skyline_probability(dataset, oid, qq, use_index=False)
-                for oid in dataset.ids()
-            ],
-        )
-
-
-def _prsq_probabilities_batched(
-    dataset: UncertainDataset, qq: np.ndarray
-) -> ProbabilityMap:
-    """One grouped filter pass, then one segmented Eq. (3)/(2) pass.
+    a per-object :func:`reverse_skyline_probability` loop.
 
     Object ``i``'s dominance rectangles are row ``i`` of the tensor-shaped
     window bounds (NaN where the tensor pads), so the relevance set of
@@ -128,6 +108,7 @@ def _prsq_probabilities_batched(
     """
     from repro.engine.kernels import eq2_segmented
 
+    qq = as_point(q, dims=dataset.dims)
     tensor = dataset.tensor
     centers = np.arange(tensor.n)
     with _span("filter", mode="grouped-windows", objects=tensor.n):
@@ -155,11 +136,10 @@ def probabilistic_reverse_skyline(
     dataset: UncertainDataset,
     q: PointLike,
     alpha: float,
-    use_index: bool = True,
 ) -> List[Hashable]:
     """Object ids whose ``Pr(u) >= alpha`` (the PRSQ answer set)."""
     _check_alpha(alpha)
-    probabilities = prsq_probability_map(dataset, q, use_index=use_index)
+    probabilities = prsq_probability_map(dataset, q)
     return [oid for oid, pr in probabilities.items() if pr >= alpha]
 
 
@@ -167,11 +147,10 @@ def prsq_non_answers(
     dataset: UncertainDataset,
     q: PointLike,
     alpha: float,
-    use_index: bool = True,
 ) -> List[Hashable]:
     """Object ids that are *non-answers* (the CRP inputs)."""
     _check_alpha(alpha)
-    probabilities = prsq_probability_map(dataset, q, use_index=use_index)
+    probabilities = prsq_probability_map(dataset, q)
     return [oid for oid, pr in probabilities.items() if pr < alpha]
 
 
@@ -180,9 +159,8 @@ def is_prsq_answer(
     oid: Hashable,
     q: PointLike,
     alpha: float,
-    use_index: bool = True,
 ) -> Tuple[bool, float]:
     """Membership plus the underlying probability for one object."""
     _check_alpha(alpha)
-    pr = reverse_skyline_probability(dataset, oid, q, use_index=use_index)
+    pr = reverse_skyline_probability(dataset, oid, q)
     return pr >= alpha, pr

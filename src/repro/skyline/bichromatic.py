@@ -30,7 +30,6 @@ def product_dominators(
     products: CertainDataset,
     customer_id: Hashable,
     q: PointLike,
-    use_index: bool = True,
 ) -> List[Hashable]:
     """Products that dynamically dominate ``q`` w.r.t. *customer_id*."""
     center = customers.point_of(customer_id)
@@ -39,11 +38,8 @@ def product_dominators(
         raise ValueError(
             f"customers have {customers.dims} dims, products {products.dims}"
         )
-    if use_index:
-        window = dominance_rectangle(center, qq)
-        pool = products.packed.range_search(window)
-    else:
-        pool = products.ids()
+    window = dominance_rectangle(center, qq)
+    pool = products.packed.range_search(window)
     # Products are another dataset: none is excluded, so one co-located
     # with the customer dominates q unless q is that very point.
     return confirm_dominators(products, pool, None, qq, center)
@@ -83,7 +79,6 @@ def compute_causality_bichromatic(
     products: CertainDataset,
     customer_id: Hashable,
     q: PointLike,
-    use_index: bool = True,
 ) -> CausalityResult:
     """Causality for a customer missing from the bichromatic reverse skyline.
 
@@ -92,17 +87,8 @@ def compute_causality_bichromatic(
     to the bichromatic setting).
     """
     started = time.perf_counter()
-    if use_index:
-        with products.access_stats.measure() as snapshot:
-            dominators = product_dominators(
-                customers, products, customer_id, q, use_index=True
-            )
-        accesses = snapshot.node_accesses
-    else:
-        dominators = product_dominators(
-            customers, products, customer_id, q, use_index=False
-        )
-        accesses = 0
+    with products.access_stats.measure() as snapshot:
+        dominators = product_dominators(customers, products, customer_id, q)
 
     if not dominators:
         raise NotANonAnswerError(
@@ -121,7 +107,7 @@ def compute_causality_bichromatic(
                 kind=CauseKind.COUNTERFACTUAL if total == 1 else CauseKind.ACTUAL,
             )
         )
-    result.stats.node_accesses = accesses
+    result.stats.node_accesses = snapshot.node_accesses
     result.stats.cpu_time_s = time.perf_counter() - started
     result.stats.candidates = total
     return result

@@ -33,21 +33,16 @@ def dominators_of_query(
     dataset: CertainDataset,
     oid: Hashable,
     q: PointLike,
-    use_index: bool = True,
 ) -> List[Hashable]:
     """Objects that dynamically dominate ``q`` w.r.t. object *oid*.
 
-    The candidates (one window query, or every object when *use_index*
-    is false) are confirmed in one vectorized
+    The hits of one window query are confirmed in one vectorized
     :func:`~repro.core.cr.confirm_dominators` call, ``repr``-sorted.
     """
     an_point = dataset.point_of(oid)
     qq = as_point(q, dims=dataset.dims)
-    if use_index:
-        window = dominance_rectangle(an_point, qq)
-        pool = dataset.packed.range_search(window)
-    else:
-        pool = dataset.ids()
+    window = dominance_rectangle(an_point, qq)
+    pool = dataset.packed.range_search(window)
     return confirm_dominators(dataset, pool, oid, qq, an_point)
 
 
@@ -84,7 +79,6 @@ def compute_causality_k_skyband(
     an_oid: Hashable,
     q: PointLike,
     k: int,
-    use_index: bool = True,
 ) -> CausalityResult:
     """Causality & responsibility for a reverse k-skyband non-answer.
 
@@ -98,18 +92,9 @@ def compute_causality_k_skyband(
         raise ValueError(f"k must be >= 1, got {k}")
     started = time.perf_counter()
 
-    with _span("filter", use_index=use_index, k=k) as filter_span:
-        if use_index:
-            with dataset.access_stats.measure() as snapshot:
-                dominators = dominators_of_query(
-                    dataset, an_oid, q, use_index=True
-                )
-            accesses = snapshot.node_accesses
-        else:
-            dominators = dominators_of_query(
-                dataset, an_oid, q, use_index=False
-            )
-            accesses = 0
+    with _span("filter", k=k) as filter_span:
+        with dataset.access_stats.measure() as snapshot:
+            dominators = dominators_of_query(dataset, an_oid, q)
         filter_span.set(dominators=len(dominators))
 
     m = len(dominators)
@@ -147,7 +132,7 @@ def compute_causality_k_skyband(
                 )
             )
 
-    result.stats.node_accesses = accesses
+    result.stats.node_accesses = snapshot.node_accesses
     result.stats.cpu_time_s = time.perf_counter() - started
     result.stats.candidates = m
     return result

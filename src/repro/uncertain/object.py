@@ -58,7 +58,8 @@ class UncertainObject:
                 f"object {oid!r}: {matrix.shape[0]} samples but "
                 f"{probs.shape[0] if probs.ndim == 1 else probs.shape} probabilities"
             )
-        if np.any(probs <= 0.0) or np.any(probs > 1.0):
+        # a NaN fails both comparisons, so it is rejected too
+        if not ((probs > 0.0) & (probs <= 1.0)).all():
             raise InvalidProbabilityError(
                 f"object {oid!r}: probabilities must lie in (0, 1], got {probs}"
             )

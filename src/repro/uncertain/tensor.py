@@ -20,11 +20,12 @@ and cached for the dataset's lifetime — sound because
 :class:`~repro.uncertain.object.UncertainObject` arrays are immutable.
 
 Live updates never mutate a tensor in place (query code may still hold a
-reference): :meth:`~DatasetTensor.with_inserted`,
-:meth:`~DatasetTensor.with_deleted` and :meth:`~DatasetTensor.with_replaced`
-derive a patched copy with vectorized row operations — re-padding only
-when the new object's sample count grows ``S_max`` — which is how a
-single-object change avoids the O(n) per-object rebuild loop.
+reference): :meth:`~DatasetTensor.with_inserted_rows`,
+:meth:`~DatasetTensor.with_deleted_rows` and
+:meth:`~DatasetTensor.with_replaced_rows` derive a patched tensor in one
+O(n) array copy per batch — re-padding only when a new object's sample
+count grows ``S_max`` — which is how a change avoids the per-object
+rebuild loop.
 """
 
 from __future__ import annotations
@@ -159,24 +160,6 @@ class DatasetTensor:
             self.ids + [obj.oid for obj in objects],
         )
 
-    def with_inserted(self, obj: UncertainObject) -> "DatasetTensor":
-        """A new tensor with *obj* appended as the last row."""
-        return self.with_inserted_rows([obj])
-
-    def with_deleted(self, position: int) -> "DatasetTensor":
-        """A new tensor with the row at *position* removed.
-
-        ``S_max`` is kept even if the deleted object was the widest: the
-        padding stays masked out, so every kernel result is unchanged and
-        no O(n) re-pack is needed.
-        """
-        return DatasetTensor._from_parts(
-            np.delete(self.samples, position, axis=0),
-            np.delete(self.probabilities, position, axis=0),
-            np.delete(self.mask, position, axis=0),
-            self.ids[:position] + self.ids[position + 1:],
-        )
-
     def with_replaced_rows(
         self, replacements: Sequence[Tuple[int, UncertainObject]]
     ) -> "DatasetTensor":
@@ -202,14 +185,13 @@ class DatasetTensor:
             ids[position] = obj.oid
         return DatasetTensor._from_parts(samples, probabilities, mask, ids)
 
-    def with_replaced(
-        self, position: int, obj: UncertainObject
-    ) -> "DatasetTensor":
-        """A new tensor with the row at *position* replaced by *obj*."""
-        return self.with_replaced_rows([(position, obj)])
-
     def with_deleted_rows(self, positions: Sequence[int]) -> "DatasetTensor":
-        """A new tensor with all *positions* removed (``P - Γ`` in one shot)."""
+        """A new tensor with all *positions* removed (``P - Γ`` in one shot).
+
+        ``S_max`` is kept even if a deleted object was the widest: the
+        padding stays masked out, so every kernel result is unchanged and
+        no O(n) re-pack is needed.
+        """
         dropped = set(positions)
         idx = np.asarray(sorted(dropped), dtype=np.intp)
         keep = [oid for i, oid in enumerate(self.ids) if i not in dropped]

@@ -7,13 +7,25 @@ Eq. (3)/(2) helpers of :mod:`repro.prsq.probability`,
 :func:`~repro.skyline.reverse.reverse_skyline_bruteforce` and the pointer
 :class:`~repro.index.rtree.RTree` are such counterparts), its
 straightforward per-element loop lives here, written from the paper's
-definitions and sharing no kernel with the code under test.
+definitions and sharing no kernel with the code under test:
+
+* :func:`prsq_probability` — Eq. (2) over every other object, unpruned;
+* :func:`dominators` — the points dominating ``q`` w.r.t. one center,
+  one :func:`~repro.geometry.dominance.dynamically_dominates` test each;
+* :func:`dominator_counts` — every point's dominator count;
+* :func:`monte_carlo_probability` — one dominance test per sampled world.
 """
 
 from tests.reference.scalar import (
     dominator_counts,
+    dominators,
     monte_carlo_probability,
     prsq_probability,
 )
 
-__all__ = ["dominator_counts", "monte_carlo_probability", "prsq_probability"]
+__all__ = [
+    "dominator_counts",
+    "dominators",
+    "monte_carlo_probability",
+    "prsq_probability",
+]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, List
 
 import numpy as np
 
@@ -13,7 +13,29 @@ from repro.prsq.probability import (
     dominance_probability_matrix,
     probability_from_matrix,
 )
-from repro.uncertain.dataset import UncertainDataset
+from repro.uncertain.dataset import CertainDataset, UncertainDataset
+
+
+def dominators(
+    dataset: CertainDataset,
+    center: PointLike,
+    q: PointLike,
+    skip: Iterable[Hashable] = (),
+) -> List[Hashable]:
+    """Ids of the points of *dataset* outside *skip* that dynamically
+    dominate ``q`` w.r.t. *center*, ``repr``-sorted: one test per point."""
+    qq = as_point(q, dims=dataset.dims)
+    cc = as_point(center, dims=dataset.dims)
+    skipped = set(skip)
+    return sorted(
+        (
+            obj.oid
+            for obj in dataset
+            if obj.oid not in skipped
+            and dynamically_dominates(obj.samples[0], qq, cc)
+        ),
+        key=repr,
+    )
 
 
 def dominator_counts(points: np.ndarray, q: PointLike) -> np.ndarray:

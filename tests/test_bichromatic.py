@@ -12,6 +12,7 @@ from repro.skyline.bichromatic import (
 )
 from repro.skyline.reverse import reverse_skyline
 from repro.uncertain.dataset import CertainDataset
+from tests import reference
 
 
 @pytest.fixture
@@ -45,20 +46,16 @@ class TestQuery:
         with pytest.raises(ValueError):
             product_dominators(customers, products_3d, "cheap", [5.0, 5.0])
 
-    @pytest.mark.parametrize("use_index", [True, False])
-    def test_colocated_product_dominates_unless_at_q(self, use_index):
+    def test_colocated_product_dominates_unless_at_q(self):
         # a product at the customer's own point is at distance 0 from it:
         # it dominates q unless q is that very point (then it ties)
         customers = CertainDataset([[4.0, 4.0]], ids=["c"])
         products = CertainDataset(
             [[4.0, 4.0], [9.0, 9.0]], ids=["same", "far"]
         )
-        assert product_dominators(
-            customers, products, "c", [5.0, 5.0], use_index=use_index
-        ) == ["same"]
-        assert product_dominators(
-            customers, products, "c", [4.0, 4.0], use_index=use_index
-        ) == []
+        for q, expected in (([5.0, 5.0], ["same"]), ([4.0, 4.0], [])):
+            assert product_dominators(customers, products, "c", q) == expected
+            assert reference.dominators(products, [4.0, 4.0], q) == expected
 
     def test_index_matches_scan(self, rng):
         customers = CertainDataset(rng.uniform(0, 10, size=(10, 2)))
@@ -66,8 +63,8 @@ class TestQuery:
         q = rng.uniform(0, 10, size=2)
         for oid in customers.ids():
             assert product_dominators(
-                customers, products, oid, q, use_index=True
-            ) == product_dominators(customers, products, oid, q, use_index=False)
+                customers, products, oid, q
+            ) == reference.dominators(products, customers.point_of(oid), q)
 
     def test_reduces_to_monochromatic_when_products_equal_dataset(self, rng):
         """With A = B (minus self-domination pathologies), the bichromatic
@@ -137,8 +134,6 @@ class TestCausality:
         )
         assert res.stats.node_accesses > 0
         assert res.stats.candidates == 2
-        scan = compute_causality_bichromatic(
-            customers, products, "cheap", [5.0, 5.0], use_index=False
+        assert res.cause_ids() == reference.dominators(
+            products, customers.point_of("cheap"), [5.0, 5.0]
         )
-        assert scan.stats.node_accesses == 0
-        assert res.same_causality(scan)

@@ -16,7 +16,7 @@ from tests.conftest import make_uncertain_dataset
 
 
 def first_non_answer(ds, q, alpha):
-    nas = prsq_non_answers(ds, q, alpha, use_index=False)
+    nas = prsq_non_answers(ds, q, alpha)
     return nas[0] if nas else None
 
 
@@ -78,7 +78,7 @@ class TestKnownScenarios:
             ]
         )
         q = [5.0, 5.0]
-        probs = prsq_probabilities(ds, q, use_index=False)
+        probs = prsq_probabilities(ds, q)
         assert probs["b"] == pytest.approx(0.25)
         res = compute_causality(ds, "b", q, alpha=0.5)
         assert res.cause_ids() == ["a"]

@@ -85,7 +85,7 @@ class TestOneDimensional:
         ds = UncertainDataset(objs)
         q = rng.uniform(0, 10, size=1)
         for oid in ds.ids():
-            pr = reverse_skyline_probability(ds, oid, q, use_index=False)
+            pr = reverse_skyline_probability(ds, oid, q)
             if pr >= 0.5:
                 continue
             cp = compute_causality(ds, oid, q, 0.5)

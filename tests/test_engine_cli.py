@@ -47,7 +47,7 @@ class TestBatchRegistration:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["batch", "--help"])
         out = capsys.readouterr().out
-        for flag in ("--workers", "--no-cache", "--queries", "--cache-size"):
+        for flag in ("--workers", "--queries", "--cache-size"):
             assert flag in out
 
 
@@ -155,7 +155,7 @@ class TestBatchEndToEnd:
         )
         rc = main(
             ["batch", "--data", str(uncertain_csv), "--queries", str(queries),
-             "--no-cache"]
+             "--cache-size", "0"]
         )
         captured = capsys.readouterr()
         assert rc == 0

@@ -27,7 +27,7 @@ def explained(rng):
         local = np.random.default_rng(seed)
         ds = make_uncertain_dataset(local, n=8, dims=2)
         q = local.uniform(0, 10, size=2)
-        nas = prsq_non_answers(ds, q, 0.5, use_index=False)
+        nas = prsq_non_answers(ds, q, 0.5)
         if nas:
             result = compute_causality(ds, nas[0], q, 0.5)
             if result.causes:

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from repro.core.cp import compute_causality
+from repro.engine.spec import PRSQSpec, UpdateSpec, spec_from_dict
+from repro.exceptions import InvalidProbabilityError, error_code
 from repro.io.cli import main as cli_main
 from repro.io.csvio import (
     load_certain_csv,
@@ -78,6 +80,36 @@ class TestCsvRoundTrip:
         path.write_text("id,attr0,attr1\n")
         with pytest.raises(ValueError):
             load_certain_csv(path)
+
+
+@pytest.mark.parametrize(
+    "value", [float("nan"), float("inf"), float("-inf")],
+    ids=["nan", "inf", "-inf"],
+)
+def test_non_finite_coordinate_rejected(tmp_path, value):
+    """NaN/inf in outside input would make every dominance test false."""
+    with pytest.raises(ValueError, match="finite") as spec_error:
+        PRSQSpec(q=(value, 5000.0), alpha=0.5)
+    assert error_code(spec_error.value) == "invalid_value"
+    # json.dumps writes a bare NaN/Infinity, which json.loads parses
+    text = json.dumps({"kind": "prsq", "q": [value, 5000.0], "alpha": 0.5})
+    with pytest.raises(ValueError, match="finite"):
+        spec_from_dict(json.loads(text))
+    with pytest.raises(ValueError, match="finite"):
+        UpdateSpec(inserts=[("hot", [[1.0, value]], None, None)])
+    with pytest.raises(InvalidProbabilityError):
+        UncertainObject("hot", [[1.0, 2.0]], [value])
+
+    certain = tmp_path / "certain.csv"
+    certain.write_text(f"id,attr0,attr1\na,1.0,2.0\nb,{value},2.0\n")
+    with pytest.raises(ValueError, match=rf"certain\.csv:3: non-finite"):
+        load_certain_csv(certain)
+    uncertain = tmp_path / "uncertain.csv"
+    uncertain.write_text(
+        f"id,probability,attr0,attr1\nu,0.5,1.0,2.0\nu,0.5,3.0,{value}\n"
+    )
+    with pytest.raises(ValueError, match=rf"uncertain\.csv:3: non-finite"):
+        load_uncertain_csv(uncertain)
 
 
 class TestJsonRoundTrip:

@@ -23,7 +23,7 @@ def instances(seed, n=7, alpha=0.5, count=3):
     ds = make_uncertain_dataset(rng, n=n, dims=2)
     q = rng.uniform(0, 10, size=2)
     produced = 0
-    for an in prsq_non_answers(ds, q, alpha, use_index=False):
+    for an in prsq_non_answers(ds, q, alpha):
         yield MembershipOracle(ds, an, q, alpha), ds, q
         produced += 1
         if produced == count:

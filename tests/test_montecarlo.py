@@ -7,9 +7,9 @@ from repro.prsq.montecarlo import (
     ProbabilityEstimate,
     sample_reverse_skyline_probability,
 )
-from repro.prsq.probability import reverse_skyline_probability
 from repro.uncertain.dataset import UncertainDataset
 from repro.uncertain.object import UncertainObject
+from tests import reference
 from tests.conftest import make_uncertain_dataset
 
 
@@ -74,7 +74,7 @@ class TestEstimator:
         ds = make_uncertain_dataset(rng, n=6, dims=2)
         q = rng.uniform(0, 10, size=2)
         target = ds.ids()[0]
-        exact = reverse_skyline_probability(ds, target, q, use_index=False)
+        exact = reference.prsq_probability(ds, target, q)
         est = sample_reverse_skyline_probability(
             ds, target, q, worlds=3_000, rng=np.random.default_rng(seed + 100)
         )

@@ -20,7 +20,7 @@ class TestNaiveI:
         rng = np.random.default_rng(seed)
         ds = make_uncertain_dataset(rng, n=7, dims=2)
         q = rng.uniform(0, 10, size=2)
-        for an in prsq_non_answers(ds, q, 0.5, use_index=False):
+        for an in prsq_non_answers(ds, q, 0.5):
             assert naive_i(ds, an, q, 0.5).same_causality(
                 compute_causality(ds, an, q, 0.5)
             )
@@ -28,7 +28,7 @@ class TestNaiveI:
     def test_examines_at_least_as_many_subsets(self, rng):
         ds = make_uncertain_dataset(rng, n=9, dims=2)
         q = rng.uniform(0, 10, size=2)
-        nas = prsq_non_answers(ds, q, 0.5, use_index=False)
+        nas = prsq_non_answers(ds, q, 0.5)
         if not nas:
             pytest.skip("no non-answers")
         an = nas[0]
@@ -46,7 +46,7 @@ class TestNaiveI:
         # stays cheap; the I/O identity is a filter-step property anyway.
         nas = [
             an
-            for an in prsq_non_answers(ds, q, 0.5, use_index=False)
+            for an in prsq_non_answers(ds, q, 0.5)
             if len(find_candidate_causes(ds, an, q)) <= 8
         ]
         if not nas:
@@ -134,7 +134,7 @@ class TestBruteForce:
         rng = np.random.default_rng(seed)
         ds = make_uncertain_dataset(rng, n=7, dims=2)
         q = rng.uniform(0, 10, size=2)
-        nas = prsq_non_answers(ds, q, 0.5, use_index=False)
+        nas = prsq_non_answers(ds, q, 0.5)
         expected = [brute_force_causality(ds, an, q, 0.5) for an in nas]
 
         def broken(*args, **kwargs):

@@ -13,6 +13,7 @@ from repro.uncertain.possible_worlds import (
     world_count,
     world_points,
 )
+from tests import reference
 from tests.conftest import make_uncertain_dataset
 
 
@@ -86,7 +87,7 @@ class TestEquationTwoAgainstWorlds:
         ds = make_uncertain_dataset(rng, n=5, dims=2, max_samples=3)
         q = rng.uniform(0, 10, size=2)
         for obj in ds:
-            analytic = reverse_skyline_probability(ds, obj.oid, q, use_index=False)
+            analytic = reverse_skyline_probability(ds, obj.oid, q)
             brute = reverse_skyline_probability_bruteforce(ds, obj.oid, q)
             assert analytic == pytest.approx(brute, abs=1e-12)
 
@@ -94,8 +95,8 @@ class TestEquationTwoAgainstWorlds:
         ds = make_uncertain_dataset(rng, n=12, dims=2)
         q = rng.uniform(0, 10, size=2)
         for obj in ds:
-            a = reverse_skyline_probability(ds, obj.oid, q, use_index=True)
-            b = reverse_skyline_probability(ds, obj.oid, q, use_index=False)
+            a = reverse_skyline_probability(ds, obj.oid, q)
+            b = reference.prsq_probability(ds, obj.oid, q)
             assert a == pytest.approx(b, abs=1e-12)
 
     def test_unequal_sample_probabilities(self):
@@ -106,7 +107,7 @@ class TestEquationTwoAgainstWorlds:
             ]
         )
         q = [3.0, 3.0]
-        analytic = reverse_skyline_probability(ds, "u", q, use_index=False)
+        analytic = reverse_skyline_probability(ds, "u", q)
         brute = reverse_skyline_probability_bruteforce(ds, "u", q)
         assert analytic == pytest.approx(brute)
         # v dominates q w.r.t. u only from its first sample (p = 0.9).

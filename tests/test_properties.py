@@ -127,9 +127,7 @@ class TestProbabilityProperties:
     def test_eq2_matches_possible_worlds(self, dataset, q):
         q = np.array(q)
         for obj in dataset:
-            analytic = reverse_skyline_probability(
-                dataset, obj.oid, q, use_index=False
-            )
+            analytic = reverse_skyline_probability(dataset, obj.oid, q)
             brute = reverse_skyline_probability_bruteforce(dataset, obj.oid, q)
             assert analytic == pytest.approx(brute, abs=1e-9)
 
@@ -159,7 +157,7 @@ class TestCausalityProperties:
     def test_cp_equals_brute_force(self, dataset, q, alpha):
         q = np.array(q)
         target = dataset.ids()[0]
-        pr = reverse_skyline_probability(dataset, target, q, use_index=False)
+        pr = reverse_skyline_probability(dataset, target, q)
         assume(pr < alpha)
         cp = compute_causality(dataset, target, q, alpha)
         bf = brute_force_causality(dataset, target, q, alpha)
@@ -173,7 +171,7 @@ class TestCausalityProperties:
     def test_responsibilities_in_unit_interval(self, dataset, q):
         q = np.array(q)
         target = dataset.ids()[0]
-        pr = reverse_skyline_probability(dataset, target, q, use_index=False)
+        pr = reverse_skyline_probability(dataset, target, q)
         assume(pr < 0.5)
         result = compute_causality(dataset, target, q, 0.5)
         for cause in result.causes.values():

@@ -20,6 +20,7 @@ from repro.prsq.query import (
 )
 from repro.uncertain.dataset import UncertainDataset
 from repro.uncertain.object import UncertainObject
+from tests import reference
 from tests.conftest import make_uncertain_dataset
 
 
@@ -86,13 +87,13 @@ class TestEquationTwo:
         q = rng.uniform(0, 10, size=2)
         target = ds.ids()[0]
         others = [oid for oid in ds.ids() if oid != target]
-        base = reverse_skyline_probability(ds, target, q, use_index=False)
+        base = reverse_skyline_probability(ds, target, q)
         removed = set()
         previous = base
         for oid in others:
             removed.add(oid)
             current = reverse_skyline_probability(
-                ds, target, q, use_index=False, exclude=removed
+                ds, target, q, exclude=removed
             )
             assert current >= previous - 1e-12
             previous = current
@@ -163,7 +164,7 @@ class TestMembershipOracle:
         target = ds.ids()[0]
         oracle = MembershipOracle(ds, target, q, alpha=0.5)
         assert oracle.probability() == pytest.approx(
-            reverse_skyline_probability(ds, target, q, use_index=False)
+            reference.prsq_probability(ds, target, q)
         )
 
     def test_restricted_probability_matches(self, rng):
@@ -175,9 +176,7 @@ class TestMembershipOracle:
         for k in range(len(others)):
             removed = set(others[: k + 1])
             assert oracle.probability(removed) == pytest.approx(
-                reverse_skyline_probability(
-                    ds, target, q, use_index=False, exclude=removed
-                )
+                reference.prsq_probability(ds, target, q, exclude=removed)
             )
 
     def test_caching_avoids_reevaluation(self, rng):

@@ -249,26 +249,29 @@ class TestSegmentedEq2:
             p = dataset.objects()[center].probabilities
             assert whole[center] == kernels.ordered_dot(p, np.ones(p.size))
 
-    @pytest.mark.parametrize("use_index", [True, False])
-    def test_one_object_path_matches_whole_tensor(self, rng, use_index):
+    def test_one_object_path_matches_whole_tensor(self, rng):
         # reverse_skyline_probability gathers the center and its relevant
-        # rows first; the bits must equal the kernel over the whole tensor
+        # rows first; the bits must equal the kernel over the whole tensor,
+        # on the relevant rows and on every other row, and the scalar scan
         dataset = make_uncertain_dataset(rng, 30, max_samples=4)
         q = rng.uniform(0.0, 10.0, size=2)
         tensor = dataset.tensor
         excluded = dataset.ids()[3:6]
         for oid in dataset.ids():
-            rows = relevant_indices(
-                dataset, oid, q, use_index=use_index, exclude=excluded
-            )
-            whole = kernels.eq2_segmented(
-                tensor.samples, tensor.probabilities, tensor.mask,
-                [dataset.index_of(oid)], [0, len(rows)], rows, q,
-            )
-            got = reverse_skyline_probability(
-                dataset, oid, q, use_index=use_index, exclude=excluded
-            )
-            assert got.hex() == float(whole[0]).hex()
+            got = reverse_skyline_probability(dataset, oid, q, exclude=excluded)
+            relevant = relevant_indices(dataset, oid, q, exclude=excluded)
+            every = [
+                i for i, other in enumerate(dataset.ids())
+                if other != oid and other not in excluded
+            ]
+            for rows in (relevant, every):
+                whole = kernels.eq2_segmented(
+                    tensor.samples, tensor.probabilities, tensor.mask,
+                    [dataset.index_of(oid)], [0, len(rows)], rows, q,
+                )
+                assert got.hex() == float(whole[0]).hex()
+            scalar = reference.prsq_probability(dataset, oid, q, excluded)
+            assert got.hex() == scalar.hex()
 
 
 class TestBatchedPRSQ:

@@ -165,11 +165,8 @@ class TestEq2Parity:
     @given(ds=ragged_dataset_strategy(), q=point2d)
     def test_full_probability_bitwise_equal(self, ds, q):
         for oid in ds.ids():
-            values = {
-                reverse_skyline_probability(ds, oid, q, use_index=ui).hex()
-                for ui in (True, False)
-            }
-            assert values == {reference.prsq_probability(ds, oid, q).hex()}
+            fast = reverse_skyline_probability(ds, oid, q)
+            assert fast.hex() == reference.prsq_probability(ds, oid, q).hex()
 
     @SLOW
     @given(ds=ragged_dataset_strategy(), q=point2d, data=st.data())
@@ -231,13 +228,13 @@ class TestRelevantIndices:
             ]
         )
         q = [5.0, 5.0]
-        indices = relevant_indices(ds, 3, q, use_index=True)
+        indices = relevant_indices(ds, 3, q)
         assert indices == sorted(indices)
         assert 3 not in indices
         pruned = set(indices)
-        full = set(relevant_indices(ds, 3, q, use_index=False))
+        full = set(np.delete(np.arange(len(ds)), 3).tolist())
         assert pruned <= full
-        without = relevant_indices(ds, 3, q, use_index=True, exclude=[0, 7])
+        without = relevant_indices(ds, 3, q, exclude=[0, 7])
         assert pruned - {0, 7} == set(without)
 
 

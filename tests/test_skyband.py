@@ -5,7 +5,6 @@ import pytest
 
 from repro.core.naive import brute_force_causality
 from repro.exceptions import NotANonAnswerError
-from repro.geometry.dominance import dynamically_dominates
 from repro.skyline.reverse import reverse_skyline
 from repro.skyline.skyband import (
     compute_causality_k_skyband,
@@ -14,6 +13,7 @@ from repro.skyline.skyband import (
     reverse_k_skyband,
 )
 from repro.uncertain.dataset import CertainDataset
+from tests import reference
 
 
 @pytest.fixture
@@ -56,12 +56,11 @@ class TestQueries:
         ds = CertainDataset(rng.uniform(0, 10, size=(40, 2)))
         q = rng.uniform(0, 10, size=2)
         for oid in ds.ids()[:6]:
-            assert dominators_of_query(ds, oid, q, use_index=True) == (
-                dominators_of_query(ds, oid, q, use_index=False)
+            assert dominators_of_query(ds, oid, q) == reference.dominators(
+                ds, ds.point_of(oid), q, skip=[oid]
             )
 
-    @pytest.mark.parametrize("use_index", [True, False])
-    def test_dominators_match_scalar_scan_with_boundary_hits(self, use_index):
+    def test_dominators_match_scalar_scan_with_boundary_hits(self):
         # an = (4, 4), q = (5, 5): the window is [3, 5] x [3, 5].  Points
         # on its edges either dominate (one distance equal to q's, the
         # other smaller) or tie q exactly; a twin of an dominates too.
@@ -79,21 +78,10 @@ class TestQueries:
         ds = CertainDataset(points, ids=[f"p{i}" for i in range(len(points))])
         q = np.array([5.0, 5.0])
         for oid in ds.ids():
-            center = ds.point_of(oid)
-            expected = sorted(
-                (
-                    other.oid
-                    for other in ds.others(oid)
-                    if dynamically_dominates(other.samples[0], q, center)
-                ),
-                key=repr,
+            assert dominators_of_query(ds, oid, q) == reference.dominators(
+                ds, ds.point_of(oid), q, skip=[oid]
             )
-            assert dominators_of_query(ds, oid, q, use_index=use_index) == (
-                expected
-            )
-        assert dominators_of_query(ds, "p0", q, use_index=use_index) == [
-            "p1", "p2", "p3", "p6"
-        ]
+        assert dominators_of_query(ds, "p0", q) == ["p1", "p2", "p3", "p6"]
 
     def test_invalid_k(self, band_dataset):
         with pytest.raises(ValueError):
