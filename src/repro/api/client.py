@@ -2,7 +2,9 @@
 
 The client is the stable public surface over :mod:`repro.engine`.  Every
 method builds the corresponding spec, executes it on the shared session,
-and returns a typed :class:`~repro.api.results.QueryResult` envelope::
+and returns a typed :class:`~repro.api.results.QueryResult` envelope.
+The per-family methods are defined once, on :class:`QueryMethods`, which
+the batch builders and the remote client share::
 
     client = repro.api.connect(dataset)
     answer = client.prsq((5.0, 5.0), alpha=0.5)
@@ -32,6 +34,7 @@ from typing import Any, Hashable, Iterable, Iterator, List, Optional, Sequence, 
 
 from repro import obs
 from repro.api.results import QueryResult
+from repro.core.cp import CPConfig
 from repro.engine.executor import Executor, ParallelExecutor, SerialExecutor
 from repro.engine.session import Session
 from repro.engine.spec import (
@@ -109,54 +112,26 @@ def connect_pdf(
     )
 
 
-class Client:
-    """Fluent, typed access to one session's query zoo."""
+class QueryMethods:
+    """One method per built-in query family, each defined once.
 
-    def __init__(self, session: Session):
-        self.session = session
+    Every method turns its arguments into a validated spec (a bad argument
+    raises at the call) and returns ``self._take(spec)``.  The clients
+    take with ``query``: ``Client`` returns the envelope, ``RemoteClient``
+    a coroutine to await.  The batch builders queue the spec and return
+    themselves, for chaining.
+    """
 
-    # ------------------------------------------------------------------
-    # plumbing
-    # ------------------------------------------------------------------
-    @property
-    def fingerprint(self) -> str:
-        return self.session.fingerprint
+    def _take(self, spec: QuerySpec) -> Any:
+        return self.query(spec)
 
-    @property
-    def tracer(self) -> Optional[obs.Tracer]:
-        """The session's tracer (``None`` unless opened with ``trace=``)."""
-        return self.session.tracer
-
-    def cache_stats(self) -> dict:
-        return self.session.cache_stats()
-
-    def metrics(self) -> dict:
-        """Snapshot of the process-global metrics registry (plain dict)."""
-        return obs.registry().snapshot()
-
-    def close(self) -> None:
-        """Close the tracer's owned sink, if any (idempotent)."""
-        if self.session.tracer is not None:
-            self.session.tracer.close()
-
-    def query(self, spec: QuerySpec) -> QueryResult:
-        """Execute any spec — including runtime-registered families."""
-        return self.session.query(spec)
-
-    def batch(self) -> "BatchBuilder":
-        """Start a fluent batch; finish with ``.run()`` or ``.stream()``."""
-        return BatchBuilder(self)
-
-    # ------------------------------------------------------------------
-    # one method per built-in query family
-    # ------------------------------------------------------------------
     def prsq(
         self,
         q: Sequence[float],
         alpha: float = 0.5,
         want: str = "answers",
-    ) -> QueryResult:
-        return self.query(PRSQSpec(q=tuple(q), alpha=alpha, want=want))
+    ) -> Any:
+        return self._take(PRSQSpec(q=tuple(q), alpha=alpha, want=want))
 
     def causality(
         self,
@@ -164,13 +139,13 @@ class Client:
         q: Sequence[float],
         alpha: float = 0.5,
         config: Any = None,
-    ) -> QueryResult:
-        spec = (
-            CausalitySpec(an=an, q=tuple(q), alpha=alpha)
-            if config is None
-            else CausalitySpec(an=an, q=tuple(q), alpha=alpha, config=config)
+    ) -> Any:
+        return self._take(
+            CausalitySpec(
+                an=an, q=tuple(q), alpha=alpha,
+                config=CPConfig() if config is None else config,
+            )
         )
-        return self.query(spec)
 
     def pdf_causality(
         self,
@@ -178,29 +153,27 @@ class Client:
         q: Sequence[float],
         alpha: float = 0.5,
         config: Any = None,
-    ) -> QueryResult:
-        spec = (
-            PdfCausalitySpec(an=an, q=tuple(q), alpha=alpha)
-            if config is None
-            else PdfCausalitySpec(an=an, q=tuple(q), alpha=alpha, config=config)
+    ) -> Any:
+        return self._take(
+            PdfCausalitySpec(
+                an=an, q=tuple(q), alpha=alpha,
+                config=CPConfig() if config is None else config,
+            )
         )
-        return self.query(spec)
 
-    def causality_certain(
-        self, an: Hashable, q: Sequence[float]
-    ) -> QueryResult:
-        return self.query(CausalityCertainSpec(an=an, q=tuple(q)))
+    def causality_certain(self, an: Hashable, q: Sequence[float]) -> Any:
+        return self._take(CausalityCertainSpec(an=an, q=tuple(q)))
 
     def k_skyband_causality(
         self, an: Hashable, q: Sequence[float], k: int = 1
-    ) -> QueryResult:
-        return self.query(KSkybandCausalitySpec(an=an, q=tuple(q), k=k))
+    ) -> Any:
+        return self._take(KSkybandCausalitySpec(an=an, q=tuple(q), k=k))
 
-    def reverse_skyline(self, q: Sequence[float]) -> QueryResult:
-        return self.query(ReverseSkylineSpec(q=tuple(q)))
+    def reverse_skyline(self, q: Sequence[float]) -> Any:
+        return self._take(ReverseSkylineSpec(q=tuple(q)))
 
-    def reverse_k_skyband(self, q: Sequence[float], k: int = 1) -> QueryResult:
-        return self.query(ReverseKSkybandSpec(q=tuple(q), k=k))
+    def reverse_k_skyband(self, q: Sequence[float], k: int = 1) -> Any:
+        return self._take(ReverseKSkybandSpec(q=tuple(q), k=k))
 
     def reverse_top_k(
         self,
@@ -208,8 +181,8 @@ class Client:
         k: int,
         weights: Sequence[Sequence[float]],
         user_ids: Optional[Sequence[Hashable]] = None,
-    ) -> QueryResult:
-        return self.query(
+    ) -> Any:
+        return self._take(
             ReverseTopKSpec(
                 q=tuple(q),
                 k=k,
@@ -249,14 +222,14 @@ class Client:
         samples: Optional[Sequence[Sequence[float]]] = None,
         probabilities: Optional[Sequence[float]] = None,
         name: Optional[str] = None,
-    ) -> QueryResult:
+    ) -> Any:
         """Insert one object; accepts an object or ``(id, samples=...)``."""
         target = self._as_object(obj, samples, probabilities, name)
-        return self.query(UpdateSpec(inserts=(target,)))
+        return self._take(UpdateSpec(inserts=(target,)))
 
-    def delete(self, oid: Hashable) -> QueryResult:
+    def delete(self, oid: Hashable) -> Any:
         """Delete the object with id *oid*."""
-        return self.query(UpdateSpec(deletes=(oid,)))
+        return self._take(UpdateSpec(deletes=(oid,)))
 
     def update(
         self,
@@ -264,26 +237,64 @@ class Client:
         samples: Optional[Sequence[Sequence[float]]] = None,
         probabilities: Optional[Sequence[float]] = None,
         name: Optional[str] = None,
-    ) -> QueryResult:
+    ) -> Any:
         """Replace the object sharing the given id, keeping its position."""
         target = self._as_object(obj, samples, probabilities, name)
-        return self.query(UpdateSpec(updates=(target,)))
+        return self._take(UpdateSpec(updates=(target,)))
 
-    def apply(self, delta: DatasetDelta) -> QueryResult:
+    def apply(self, delta: DatasetDelta) -> Any:
         """Apply a multi-op :class:`DatasetDelta` atomically."""
-        return self.query(UpdateSpec.from_delta(delta))
+        return self._take(UpdateSpec.from_delta(delta))
+
+
+class Client(QueryMethods):
+    """Fluent, typed access to one session's query zoo."""
+
+    def __init__(self, session: Session):
+        self.session = session
+
+    @property
+    def fingerprint(self) -> str:
+        return self.session.fingerprint
+
+    @property
+    def tracer(self) -> Optional[obs.Tracer]:
+        """The session's tracer (``None`` unless opened with ``trace=``)."""
+        return self.session.tracer
+
+    def cache_stats(self) -> dict:
+        return self.session.cache_stats()
+
+    def metrics(self) -> dict:
+        """Snapshot of the process-global metrics registry (plain dict)."""
+        return obs.registry().snapshot()
+
+    def close(self) -> None:
+        """Close the tracer's owned sink, if any (idempotent)."""
+        if self.session.tracer is not None:
+            self.session.tracer.close()
+
+    def query(self, spec: QuerySpec) -> QueryResult:
+        """Execute any spec — including runtime-registered families."""
+        return self.session.query(spec)
+
+    def batch(self) -> "BatchBuilder":
+        """Start a fluent batch; finish with ``.run()`` or ``.stream()``."""
+        return BatchBuilder(self)
 
     def __repr__(self) -> str:
         return f"<Client {self.session!r}>"
 
 
-class BatchBuilder:
-    """Accumulates specs fluently; executes with error-capturing envelopes."""
+class SpecBatch(QueryMethods):
+    """The spec list both batch builders accumulate; ``_take`` is ``add``.
 
-    def __init__(self, client: Client):
+    Update specs run only in a serial batch (see ``UpdateSpec.mutates``).
+    """
+
+    def __init__(self, client: Any):
         self._client = client
         self._specs: List[QuerySpec] = []
-        self._last_executor: Optional[Executor] = None
 
     def __len__(self) -> int:
         return len(self._specs)
@@ -292,52 +303,23 @@ class BatchBuilder:
     def specs(self) -> List[QuerySpec]:
         return list(self._specs)
 
-    # ------------------------------------------------------------------
-    # fluent accumulation
-    # ------------------------------------------------------------------
-    def add(self, spec: QuerySpec) -> "BatchBuilder":
+    def add(self, spec: QuerySpec) -> "SpecBatch":
         self._specs.append(spec)
         return self
 
-    def extend(self, specs: Iterable[QuerySpec]) -> "BatchBuilder":
+    _take = add
+
+    def extend(self, specs: Iterable[QuerySpec]) -> "SpecBatch":
         self._specs.extend(specs)
         return self
 
-    def prsq(
-        self, q: Sequence[float], alpha: float = 0.5, want: str = "answers"
-    ) -> "BatchBuilder":
-        return self.add(PRSQSpec(q=tuple(q), alpha=alpha, want=want))
 
-    def causality(
-        self, an: Hashable, q: Sequence[float], alpha: float = 0.5
-    ) -> "BatchBuilder":
-        return self.add(CausalitySpec(an=an, q=tuple(q), alpha=alpha))
+class BatchBuilder(SpecBatch):
+    """Accumulates specs fluently; executes with error-capturing envelopes."""
 
-    def causality_certain(
-        self, an: Hashable, q: Sequence[float]
-    ) -> "BatchBuilder":
-        return self.add(CausalityCertainSpec(an=an, q=tuple(q)))
-
-    def reverse_skyline(self, q: Sequence[float]) -> "BatchBuilder":
-        return self.add(ReverseSkylineSpec(q=tuple(q)))
-
-    def reverse_k_skyband(
-        self, q: Sequence[float], k: int = 1
-    ) -> "BatchBuilder":
-        return self.add(ReverseKSkybandSpec(q=tuple(q), k=k))
-
-    def insert(self, obj: UncertainObject) -> "BatchBuilder":
-        """Queue an insert (serial execution only; see ``UpdateSpec``)."""
-        return self.add(UpdateSpec(inserts=(obj,)))
-
-    def delete(self, oid: Hashable) -> "BatchBuilder":
-        return self.add(UpdateSpec(deletes=(oid,)))
-
-    def update(self, obj: UncertainObject) -> "BatchBuilder":
-        return self.add(UpdateSpec(updates=(obj,)))
-
-    def apply(self, delta: DatasetDelta) -> "BatchBuilder":
-        return self.add(UpdateSpec.from_delta(delta))
+    def __init__(self, client: Client):
+        super().__init__(client)
+        self._last_executor: Optional[Executor] = None
 
     # ------------------------------------------------------------------
     # execution

@@ -7,8 +7,10 @@ response frames by it, so **many requests can be in flight on one
 connection at once** — ``asyncio.gather`` over twenty ``prsq`` calls is
 the intended usage, not a protocol violation.
 
-The method surface mirrors the local client one-for-one (``prsq``,
-``causality``, ``insert``, ``batch()...``), and the payloads *are* the
+The per-family methods (``prsq``, ``causality``, ``insert``, ...) are
+the local client's :class:`~repro.api.client.QueryMethods`, returning
+coroutines here, and ``batch()`` takes the same calls; a bad argument
+raises at the call, before any frame is sent.  The payloads *are* the
 local payloads: responses carry v2 envelopes verbatim, decoded back into
 typed :class:`~repro.api.results.QueryResult` objects whose values round
 -trip bit-identically.  Single-query methods raise on failure — an
@@ -34,36 +36,14 @@ import asyncio
 import itertools
 import json
 import uuid
-from typing import (
-    Any,
-    AsyncIterator,
-    Dict,
-    Hashable,
-    Iterable,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Any, AsyncIterator, Dict, List, Optional, Tuple
 
 from repro import obs
-from repro.api.client import Client
+from repro.api.client import QueryMethods, SpecBatch
 from repro.api.registry import REGISTRY
 from repro.api.results import QueryResult
 from repro.api.retry import RetryPolicy
-from repro.engine.spec import (
-    CausalityCertainSpec,
-    CausalitySpec,
-    KSkybandCausalitySpec,
-    PdfCausalitySpec,
-    PRSQSpec,
-    QuerySpec,
-    ReverseKSkybandSpec,
-    ReverseSkylineSpec,
-    ReverseTopKSpec,
-    UpdateSpec,
-)
+from repro.engine.spec import QuerySpec
 from repro.exceptions import (
     DatasetDegradedError,
     DeadlineExceededError,
@@ -74,8 +54,6 @@ from repro.exceptions import (
     UnknownDatasetError,
 )
 from repro.serve.wire import DEFAULT_DATASET, DEFAULT_PORT, encode_frame
-from repro.uncertain.delta import DatasetDelta
-from repro.uncertain.object import UncertainObject
 
 #: Extra client-side wait beyond ``deadline_ms`` before giving up
 #: locally — covers wire latency so the server's own deadline answer
@@ -83,7 +61,7 @@ from repro.uncertain.object import UncertainObject
 _DEADLINE_GRACE_S = 1.0
 
 
-class RemoteClient:
+class RemoteClient(QueryMethods):
     """One multiplexed NDJSON connection to a ``repro serve`` server."""
 
     def __init__(
@@ -396,105 +374,6 @@ class RemoteClient:
         return await self.request({"op": "stats"})
 
     # ------------------------------------------------------------------
-    # the Client facade, one awaitable per family
-    # ------------------------------------------------------------------
-    async def prsq(
-        self, q: Sequence[float], alpha: float = 0.5, want: str = "answers"
-    ) -> QueryResult:
-        return await self.query(PRSQSpec(q=tuple(q), alpha=alpha, want=want))
-
-    async def causality(
-        self,
-        an: Hashable,
-        q: Sequence[float],
-        alpha: float = 0.5,
-        config: Any = None,
-    ) -> QueryResult:
-        spec = (
-            CausalitySpec(an=an, q=tuple(q), alpha=alpha)
-            if config is None
-            else CausalitySpec(an=an, q=tuple(q), alpha=alpha, config=config)
-        )
-        return await self.query(spec)
-
-    async def pdf_causality(
-        self,
-        an: Hashable,
-        q: Sequence[float],
-        alpha: float = 0.5,
-        config: Any = None,
-    ) -> QueryResult:
-        spec = (
-            PdfCausalitySpec(an=an, q=tuple(q), alpha=alpha)
-            if config is None
-            else PdfCausalitySpec(an=an, q=tuple(q), alpha=alpha, config=config)
-        )
-        return await self.query(spec)
-
-    async def causality_certain(
-        self, an: Hashable, q: Sequence[float]
-    ) -> QueryResult:
-        return await self.query(CausalityCertainSpec(an=an, q=tuple(q)))
-
-    async def k_skyband_causality(
-        self, an: Hashable, q: Sequence[float], k: int = 1
-    ) -> QueryResult:
-        return await self.query(KSkybandCausalitySpec(an=an, q=tuple(q), k=k))
-
-    async def reverse_skyline(self, q: Sequence[float]) -> QueryResult:
-        return await self.query(ReverseSkylineSpec(q=tuple(q)))
-
-    async def reverse_k_skyband(
-        self, q: Sequence[float], k: int = 1
-    ) -> QueryResult:
-        return await self.query(ReverseKSkybandSpec(q=tuple(q), k=k))
-
-    async def reverse_top_k(
-        self,
-        q: Sequence[float],
-        k: int,
-        weights: Sequence[Sequence[float]],
-        user_ids: Optional[Sequence[Hashable]] = None,
-    ) -> QueryResult:
-        return await self.query(
-            ReverseTopKSpec(
-                q=tuple(q),
-                k=k,
-                weights=tuple(tuple(w) for w in weights),
-                user_ids=None if user_ids is None else tuple(user_ids),
-            )
-        )
-
-    # ------------------------------------------------------------------
-    # live updates (serialized server-side through the single writer)
-    # ------------------------------------------------------------------
-    async def insert(
-        self,
-        obj: Union[UncertainObject, Hashable],
-        samples: Optional[Sequence[Sequence[float]]] = None,
-        probabilities: Optional[Sequence[float]] = None,
-        name: Optional[str] = None,
-    ) -> QueryResult:
-        target = Client._as_object(obj, samples, probabilities, name)
-        return await self.query(UpdateSpec(inserts=(target,)))
-
-    async def delete(self, oid: Hashable) -> QueryResult:
-        return await self.query(UpdateSpec(deletes=(oid,)))
-
-    async def update(
-        self,
-        obj: Union[UncertainObject, Hashable],
-        samples: Optional[Sequence[Sequence[float]]] = None,
-        probabilities: Optional[Sequence[float]] = None,
-        name: Optional[str] = None,
-    ) -> QueryResult:
-        target = Client._as_object(obj, samples, probabilities, name)
-        return await self.query(UpdateSpec(updates=(target,)))
-
-    async def apply(self, delta: DatasetDelta) -> QueryResult:
-        return await self.query(UpdateSpec.from_delta(delta))
-
-    # ------------------------------------------------------------------
     def batch(self) -> "RemoteBatchBuilder":
         """Start a fluent batch; finish with ``.run()`` or ``.stream()``."""
         return RemoteBatchBuilder(self)
@@ -506,7 +385,7 @@ class RemoteClient:
         )
 
 
-class RemoteBatchBuilder:
+class RemoteBatchBuilder(SpecBatch):
     """The fluent batch builder, streamed over one ``batch`` frame.
 
     ``stream()`` yields one :class:`QueryResult` per spec in input order
@@ -517,62 +396,6 @@ class RemoteBatchBuilder:
     after the hint.
     """
 
-    def __init__(self, client: RemoteClient):
-        self._client = client
-        self._specs: List[QuerySpec] = []
-
-    def __len__(self) -> int:
-        return len(self._specs)
-
-    @property
-    def specs(self) -> List[QuerySpec]:
-        return list(self._specs)
-
-    # -- fluent accumulation (mirrors BatchBuilder) ---------------------
-    def add(self, spec: QuerySpec) -> "RemoteBatchBuilder":
-        self._specs.append(spec)
-        return self
-
-    def extend(self, specs: Iterable[QuerySpec]) -> "RemoteBatchBuilder":
-        self._specs.extend(specs)
-        return self
-
-    def prsq(
-        self, q: Sequence[float], alpha: float = 0.5, want: str = "answers"
-    ) -> "RemoteBatchBuilder":
-        return self.add(PRSQSpec(q=tuple(q), alpha=alpha, want=want))
-
-    def causality(
-        self, an: Hashable, q: Sequence[float], alpha: float = 0.5
-    ) -> "RemoteBatchBuilder":
-        return self.add(CausalitySpec(an=an, q=tuple(q), alpha=alpha))
-
-    def causality_certain(
-        self, an: Hashable, q: Sequence[float]
-    ) -> "RemoteBatchBuilder":
-        return self.add(CausalityCertainSpec(an=an, q=tuple(q)))
-
-    def reverse_skyline(self, q: Sequence[float]) -> "RemoteBatchBuilder":
-        return self.add(ReverseSkylineSpec(q=tuple(q)))
-
-    def reverse_k_skyband(
-        self, q: Sequence[float], k: int = 1
-    ) -> "RemoteBatchBuilder":
-        return self.add(ReverseKSkybandSpec(q=tuple(q), k=k))
-
-    def insert(self, obj: UncertainObject) -> "RemoteBatchBuilder":
-        return self.add(UpdateSpec(inserts=(obj,)))
-
-    def delete(self, oid: Hashable) -> "RemoteBatchBuilder":
-        return self.add(UpdateSpec(deletes=(oid,)))
-
-    def update(self, obj: UncertainObject) -> "RemoteBatchBuilder":
-        return self.add(UpdateSpec(updates=(obj,)))
-
-    def apply(self, delta: DatasetDelta) -> "RemoteBatchBuilder":
-        return self.add(UpdateSpec.from_delta(delta))
-
-    # -- execution ------------------------------------------------------
     async def stream(self) -> AsyncIterator[QueryResult]:
         client = self._client
         request_id = next(client._ids)

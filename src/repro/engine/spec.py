@@ -29,6 +29,7 @@ from typing import Any, ClassVar, Dict, Hashable, Optional, Tuple
 
 from repro.core.cp import CPConfig
 from repro.geometry.point import PointLike
+from repro.prsq.query import _check_alpha
 from repro.uncertain.delta import DatasetDelta
 from repro.uncertain.object import UncertainObject
 
@@ -51,8 +52,7 @@ def _validate_alpha(alpha: float) -> None:
     # bool is an int subclass; alpha=True must fail like _validate_k's k=True.
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
         raise ValueError(f"alpha must be a number, got {alpha!r}")
-    if not 0.0 < alpha <= 1.0:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+    _check_alpha(alpha)
 
 
 def _validate_k(k: int) -> None:
@@ -116,7 +116,6 @@ class PRSQSpec(QuerySpec):
     want: str = "answers"
 
     kind: ClassVar[str] = "prsq"
-    dataset_kind: ClassVar[str] = "uncertain"
     cacheable: ClassVar[bool] = True
     mutates: ClassVar[bool] = False
 
@@ -139,7 +138,6 @@ class CausalitySpec(QuerySpec):
     config: CPConfig = CPConfig()
 
     kind: ClassVar[str] = "causality"
-    dataset_kind: ClassVar[str] = "uncertain"
     cacheable: ClassVar[bool] = True
     mutates: ClassVar[bool] = False
 
@@ -336,7 +334,8 @@ class UpdateSpec(QuerySpec):
 
     Updates are never cached (``cacheable = False``) and never fan out to
     worker processes (``mutates = True``): workers hold dataset copies, so
-    a mutation applied there would be silently lost.
+    a mutation applied there would be silently lost.  Any session accepts
+    them (the base ``dataset_kind``).
     """
 
     deletes: Tuple[Hashable, ...] = ()
@@ -344,7 +343,6 @@ class UpdateSpec(QuerySpec):
     inserts: Tuple[ObjectEntry, ...] = ()
 
     kind: ClassVar[str] = "update"
-    dataset_kind: ClassVar[str] = "uncertain"  # accepted by any session
     cacheable: ClassVar[bool] = False
     mutates: ClassVar[bool] = True
 

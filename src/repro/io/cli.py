@@ -16,13 +16,16 @@ Usage (after ``pip install -e .``)::
 
 ``generate`` writes a synthetic dataset; ``prsq`` lists answers and
 non-answers with probabilities; ``explain`` runs algorithm CP on one
-non-answer (``explain-certain`` runs CR on certain data); ``batch`` runs a
-JSON file of query specs through the :mod:`repro.api` client with optional
-multiprocess fan-out and result caching.  All JSON emission goes through
-the typed :class:`~repro.api.results.QueryResult` envelopes: ``--json``
-prints one JSON array of envelopes, ``--stream`` prints NDJSON — one
-envelope per line, flushed as each result lands, so a consumer can pipe
-the output while long batches are still running.
+non-answer (``explain-certain`` runs CR on certain data).  These three are
+one-shot calls of the :func:`repro.api.connect` client's family methods,
+so ``--q`` and ``--alpha`` are checked as specs are: a NaN or infinite
+coordinate, or an alpha outside (0, 1], is an ``error:`` exit 1.
+``batch`` runs a JSON file of query specs through the :mod:`repro.api`
+client with optional multiprocess fan-out and result caching.  All JSON
+emission goes through the typed :class:`~repro.api.results.QueryResult`
+envelopes: ``--json`` prints one JSON array of envelopes, ``--stream``
+prints NDJSON — one envelope per line, flushed as each result lands, so
+a consumer can pipe the output while long batches are still running.
 
 ``update`` drives one **live session**: each NDJSON input line is either a
 shorthand op (``{"op": "insert"|"update"|"delete", "id": ..., "samples":
@@ -56,9 +59,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro import obs
-from repro.core.cp import compute_causality
-from repro.core.cr import compute_causality_certain
-from repro.core.model import CausalityResult
+from repro.api import Client, connect
 from repro.datasets.synthetic_certain import generate_certain_dataset
 from repro.datasets.synthetic_uncertain import generate_uncertain_dataset
 from repro.exceptions import ReproError
@@ -68,7 +69,6 @@ from repro.io.csvio import (
     save_certain_csv,
     save_uncertain_csv,
 )
-from repro.prsq.query import prsq_probabilities
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -332,16 +332,16 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_prsq(args: argparse.Namespace) -> int:
-    dataset = load_uncertain_csv(args.data)
-    probabilities = prsq_probabilities(dataset, args.q)
+    probabilities = connect(args.data, cache_size=0).prsq(
+        args.q, alpha=args.alpha, want="probabilities"
+    ).value.probabilities
     answers = 0
-    for oid in dataset.ids():
-        pr = probabilities[oid]
+    for oid, pr in probabilities.items():
         tag = "answer" if pr >= args.alpha else "non-answer"
         answers += tag == "answer"
         print(f"{oid}\t{pr:.6f}\t{tag}")
     print(
-        f"# {answers} answers / {len(dataset) - answers} non-answers "
+        f"# {answers} answers / {len(probabilities) - answers} non-answers "
         f"at alpha={args.alpha}",
         file=sys.stderr,
     )
@@ -355,10 +355,8 @@ def _print_cause_lines(answer) -> None:
         print(f"  {oid}\tresponsibility={resp:.6f}\t{kinds[oid]}")
 
 
-def _print_result(result: CausalityResult, as_json: bool) -> None:
-    from repro.api.results import CausalityAnswer
-
-    answer = CausalityAnswer.from_raw(result)
+def _print_answer(answer, as_json: bool) -> None:
+    """A CausalityAnswer as text, or as its JSON dict with ``--json``."""
     if as_json:
         print(json.dumps(answer.to_dict(), indent=2))
         return
@@ -372,17 +370,33 @@ def _print_result(result: CausalityResult, as_json: bool) -> None:
 
 
 def _cmd_explain(args: argparse.Namespace) -> int:
-    dataset = load_uncertain_csv(args.data)
-    result = compute_causality(dataset, args.an, args.q, args.alpha)
-    _print_result(result, args.json)
+    client = connect(args.data, cache_size=0)
+    answer = client.causality(args.an, args.q, alpha=args.alpha).value
+    _print_answer(answer, args.json)
     return 0
 
 
 def _cmd_explain_certain(args: argparse.Namespace) -> int:
-    dataset = load_certain_csv(args.data)
-    result = compute_causality_certain(dataset, args.an, args.q)
-    _print_result(result, args.json)
+    client = connect(args.data, dataset_kind="certain", cache_size=0)
+    _print_answer(client.causality_certain(args.an, args.q).value, args.json)
     return 0
+
+
+def _load_dataset(path: str, kind: str):
+    """The CSV at *path* in the ``--dataset-kind`` flavour *kind*."""
+    if kind == "certain":
+        return load_certain_csv(path)
+    return load_uncertain_csv(path)
+
+
+def _read_specs(path: str) -> list:
+    """The query specs of a ``--queries`` JSON array file."""
+    from repro.engine import spec_from_dict
+
+    payload = json.loads(Path(path).read_text())
+    if not isinstance(payload, list):
+        raise ValueError(f"{path}: expected a JSON array of query specs")
+    return [spec_from_dict(item) for item in payload]
 
 
 def _print_envelope_text(envelope) -> None:
@@ -439,20 +453,10 @@ def _mute_stdout() -> None:
 
 
 def _cmd_batch(args: argparse.Namespace) -> int:
-    from repro.api import Client
-    from repro.engine import ParallelExecutor, Session, spec_from_dict
+    from repro.engine import ParallelExecutor, Session
 
-    if args.dataset_kind == "certain":
-        dataset = load_certain_csv(args.data)
-    else:
-        dataset = load_uncertain_csv(args.data)
-
-    payload = json.loads(Path(args.queries).read_text())
-    if not isinstance(payload, list):
-        raise ValueError(
-            f"{args.queries}: expected a JSON array of query specs"
-        )
-    specs = [spec_from_dict(item) for item in payload]
+    dataset = _load_dataset(args.data, args.dataset_kind)
+    specs = _read_specs(args.queries)
 
     executor = (
         ParallelExecutor(workers=args.workers, cache_size=args.cache_size)
@@ -547,20 +551,10 @@ def _cmd_batch(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
-    from repro.api import Client
-    from repro.engine import ParallelExecutor, Session, spec_from_dict
+    from repro.engine import ParallelExecutor, Session
 
-    if args.dataset_kind == "certain":
-        dataset = load_certain_csv(args.data)
-    else:
-        dataset = load_uncertain_csv(args.data)
-
-    payload = json.loads(Path(args.queries).read_text())
-    if not isinstance(payload, list):
-        raise ValueError(
-            f"{args.queries}: expected a JSON array of query specs"
-        )
-    specs = [spec_from_dict(item) for item in payload]
+    dataset = _load_dataset(args.data, args.dataset_kind)
+    specs = _read_specs(args.queries)
 
     executor = (
         ParallelExecutor(workers=args.workers, cache_size=args.cache_size)
@@ -627,13 +621,11 @@ def _cmd_update(args: argparse.Namespace) -> int:
     from repro.api.results import QueryResult
     from repro.engine import Session
     from repro.engine.executor import _execute_captured
-    from repro.io.csvio import save_certain_csv, save_uncertain_csv
 
-    if args.dataset_kind == "certain":
-        dataset = load_certain_csv(args.data)
-    else:
-        dataset = load_uncertain_csv(args.data)
-    session = Session(dataset, cache_size=max(args.cache_size, 0))
+    session = Session(
+        _load_dataset(args.data, args.dataset_kind),
+        cache_size=max(args.cache_size, 0),
+    )
 
     def parse(lineno: int, line: str):
         try:
@@ -706,7 +698,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from repro.serve import ServeConfig
     from repro.serve.server import run as serve_run
 
-    load = load_certain_csv if args.dataset_kind == "certain" else load_uncertain_csv
     datasets = {}
     for item in args.data:
         name, sep, path = item.partition("=")
@@ -716,7 +707,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             raise ValueError(f"--data {item!r}: empty dataset name")
         if name in datasets:
             raise ValueError(f"--data: duplicate dataset name {name!r}")
-        datasets[name] = load(path)
+        datasets[name] = _load_dataset(path, args.dataset_kind)
 
     fault_plan = None
     plan_text = args.fault_plan or os.environ.get("REPRO_FAULT_PLAN")

@@ -28,11 +28,21 @@ from repro.uncertain.object import UncertainObject
 PathLike = Union[str, Path]
 
 
-def _numbers(path: Path, line: int, cells: Sequence[str]) -> List[float]:
-    """*cells* as floats; a NaN or infinite one is an error at *line*."""
-    values = list(map(float, cells))
+def _numbers(
+    path: Path, line: int, row: Sequence[str], width: int
+) -> List[float]:
+    """The cells after the id as floats; a row that is not *width* cells
+    wide, or holds a non-numeric or non-finite cell, is an error at *line*."""
+    if len(row) != width:
+        raise ValueError(
+            f"{path}:{line}: row has {len(row)} cells, the header has {width}"
+        )
+    try:
+        values = list(map(float, row[1:]))
+    except ValueError as exc:
+        raise ValueError(f"{path}:{line}: {exc}") from None
     if not all(map(math.isfinite, values)):
-        raise ValueError(f"{path}:{line}: non-finite value in {list(cells)!r}")
+        raise ValueError(f"{path}:{line}: non-finite value in {row[1:]!r}")
     return values
 
 
@@ -60,7 +70,7 @@ def load_certain_csv(path: PathLike) -> CertainDataset:
             if not row:
                 continue
             ids.append(row[0])
-            points.append(_numbers(path, reader.line_num, row[1:]))
+            points.append(_numbers(path, reader.line_num, row, len(header)))
     if not points:
         raise ValueError(f"{path}: no data rows")
     return CertainDataset(np.array(points), ids=ids)
@@ -106,7 +116,7 @@ def load_uncertain_csv(path: PathLike) -> UncertainDataset:
                 samples[oid] = []
                 probs[oid] = []
                 order.append(oid)
-            values = _numbers(path, reader.line_num, row[1:])
+            values = _numbers(path, reader.line_num, row, len(header))
             probs[oid].append(values[0])
             samples[oid].append(values[1:])
     if not order:

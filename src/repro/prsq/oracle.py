@@ -16,8 +16,9 @@ from typing import Dict, FrozenSet, Hashable, Iterable, List, Optional
 
 import numpy as np
 
-from repro.geometry.dominance import dominance_rectangle
 from repro.geometry.point import PointLike, as_point
+from repro.prsq.probability import relevant_indices
+from repro.prsq.query import _check_alpha
 from repro.uncertain.dataset import UncertainDataset
 
 
@@ -30,9 +31,10 @@ class MembershipOracle:
         The CR2PRSQ instance.
     relevant_ids:
         Object ids that may influence ``Pr(an)`` (the candidate causes from
-        the filter step).  When omitted, the pool is restricted with one
-        Lemma-2 multi-window scan of the dataset's spatial index — exact,
-        because an object outside every dominance rectangle has an
+        the filter step).  When omitted, the pool is
+        :func:`~repro.prsq.probability.relevant_indices`, one Lemma-2
+        multi-window scan of the dataset's spatial index — exact, because
+        an object outside every dominance rectangle has an
         identically-zero Eq. (3) vector.  Zero rows are dropped, so the
         oracle's answers equal those over every other object.
     """
@@ -45,23 +47,18 @@ class MembershipOracle:
         alpha: float,
         relevant_ids: Optional[Iterable[Hashable]] = None,
     ):
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
+        _check_alpha(alpha)
         self.dataset = dataset
         self.an = dataset.get(an_oid)
         self.q = as_point(q, dims=dataset.dims)
         self.alpha = alpha
 
-        center = dataset.index_of(an_oid)
         if relevant_ids is None:
-            windows = [
-                dominance_rectangle(self.an.samples[i], self.q)
-                for i in range(self.an.num_samples)
-            ]
-            indices = dataset.window_positions(windows, exclude=center).tolist()
+            indices = relevant_indices(dataset, an_oid, self.q)
         else:
             indices = sorted(
-                {dataset.index_of(oid) for oid in relevant_ids} - {center}
+                {dataset.index_of(oid) for oid in relevant_ids}
+                - {dataset.index_of(an_oid)}
             )
         matrix = self._build_matrix(indices)
 

@@ -1,5 +1,6 @@
 """The v2 public API: registry dispatch, client facade, envelopes, shims."""
 
+import asyncio
 import json
 import warnings
 from dataclasses import dataclass
@@ -11,17 +12,33 @@ from repro.api import (
     Client,
     QueryResult,
     REGISTRY,
+    RemoteClient,
     connect,
     connect_pdf,
 )
 from repro.api.results import CausalityAnswer, PRSQResult
+from repro.core.cp import CPConfig
 from repro.datasets.synthetic_certain import generate_certain_dataset
 from repro.datasets.synthetic_uncertain import generate_uncertain_dataset
 from repro.engine import ParallelExecutor, PRSQSpec, Session
 from repro.engine.plan import QueryPlan
-from repro.engine.spec import QuerySpec, spec_from_dict, spec_to_dict
-from repro.exceptions import UnknownObjectError
+from repro.engine.spec import (
+    CausalityCertainSpec,
+    CausalitySpec,
+    KSkybandCausalitySpec,
+    PdfCausalitySpec,
+    QuerySpec,
+    ReverseKSkybandSpec,
+    ReverseSkylineSpec,
+    ReverseTopKSpec,
+    UpdateSpec,
+    spec_from_dict,
+    spec_to_dict,
+)
+from repro.exceptions import InvalidRequestError, UnknownObjectError
 from repro.geometry.rectangle import Rect
+from repro.uncertain.delta import DatasetDelta
+from repro.uncertain.object import UncertainObject
 from repro.uncertain.pdf import UniformBoxObject
 
 Q = (5000.0, 5000.0)
@@ -157,6 +174,156 @@ class TestBatchBuilder:
         # failed envelopes survive the JSON round trip too
         back = QueryResult.from_dict(json.loads(json.dumps(bad.to_dict())))
         assert back == bad
+
+
+# ---------------------------------------------------------------------------
+# one method table: every facade builds the same spec from the same call
+# ---------------------------------------------------------------------------
+HOT = UncertainObject("hot", [[1.0, 2.0]], [1.0])
+DELTA = DatasetDelta(deletes=("a",), inserts=(HOT,))
+NO_LEMMA6 = CPConfig(use_lemma6=False)
+
+METHOD_CASES = {
+    "prsq": (
+        "prsq", (list(Q),), {"alpha": 0.3, "want": "probabilities"},
+        PRSQSpec(q=Q, alpha=0.3, want="probabilities"),
+    ),
+    "causality": (
+        "causality", ("a", Q), {"alpha": 0.4},
+        CausalitySpec(an="a", q=Q, alpha=0.4),
+    ),
+    "causality-config": (
+        "causality", ("a", Q), {"config": NO_LEMMA6},
+        CausalitySpec(an="a", q=Q, config=NO_LEMMA6),
+    ),
+    "pdf_causality": (
+        "pdf_causality", ("a", Q), {"alpha": 0.2, "config": NO_LEMMA6},
+        PdfCausalitySpec(an="a", q=Q, alpha=0.2, config=NO_LEMMA6),
+    ),
+    "causality_certain": (
+        "causality_certain", ("a", Q), {},
+        CausalityCertainSpec(an="a", q=Q),
+    ),
+    "k_skyband_causality": (
+        "k_skyband_causality", ("a", Q), {"k": 2},
+        KSkybandCausalitySpec(an="a", q=Q, k=2),
+    ),
+    "reverse_skyline": (
+        "reverse_skyline", (Q,), {}, ReverseSkylineSpec(q=Q),
+    ),
+    "reverse_k_skyband": (
+        "reverse_k_skyband", (Q,), {"k": 3}, ReverseKSkybandSpec(q=Q, k=3),
+    ),
+    "reverse_top_k": (
+        "reverse_top_k", (Q, 2, [[1.0, 0.5]]), {"user_ids": ["u"]},
+        ReverseTopKSpec(q=Q, k=2, weights=((1.0, 0.5),), user_ids=("u",)),
+    ),
+    "insert-object": ("insert", (HOT,), {}, UpdateSpec(inserts=(HOT,))),
+    "insert-samples": (
+        "insert", ("hot",), {"samples": [[1.0, 2.0]], "probabilities": [1.0]},
+        UpdateSpec(inserts=(HOT,)),
+    ),
+    "delete": ("delete", ("a",), {}, UpdateSpec(deletes=("a",))),
+    "update-samples": (
+        "update", ("hot",), {"samples": [[1.0, 2.0]]},
+        UpdateSpec(updates=(HOT,)),
+    ),
+    "apply": ("apply", (DELTA,), {}, UpdateSpec.from_delta(DELTA)),
+}
+
+
+class _RecordingSession:
+    """Stands in for a Client's session: keeps every spec it is handed."""
+
+    def __init__(self):
+        self.taken = []
+
+    def query(self, spec):
+        self.taken.append(spec)
+        return spec
+
+
+class _RecordingSocket:
+    """Stands in for a RemoteClient's socket: keeps the spec of every
+    query frame written to it and answers the frame with an error."""
+
+    def __init__(self):
+        self.reader = asyncio.StreamReader()
+        self.taken = []
+
+    def write(self, frame):
+        payload = json.loads(frame)
+        self.taken.append(REGISTRY.spec_from_dict(payload["spec"]))
+        reply = {
+            "id": payload["id"],
+            "ok": False,
+            "error": {"code": "invalid_request", "message": "recorded"},
+        }
+        self.reader.feed_data(json.dumps(reply).encode() + b"\n")
+
+    async def drain(self):
+        pass
+
+    def close(self):
+        pass
+
+    async def wait_closed(self):
+        pass
+
+
+def _specs_taken(facade, method, args, kwargs):
+    """The specs one method call hands to *facade*'s ``query`` or ``add``."""
+    if facade == "Client":
+        session = _RecordingSession()
+        returned = getattr(Client(session), method)(*args, **kwargs)
+        assert session.taken == [returned]
+        return session.taken
+    if facade == "BatchBuilder":
+        batch = Client(_RecordingSession()).batch()
+        assert getattr(batch, method)(*args, **kwargs) is batch
+        return batch.specs
+
+    async def remote():
+        socket = _RecordingSocket()
+        client = RemoteClient(socket.reader, socket)
+        try:
+            if facade == "RemoteClient":
+                with pytest.raises(InvalidRequestError, match="recorded"):
+                    await getattr(client, method)(*args, **kwargs)
+                return socket.taken
+            batch = client.batch()
+            assert getattr(batch, method)(*args, **kwargs) is batch
+            return batch.specs
+        finally:
+            await client.close()
+
+    return asyncio.run(remote())
+
+
+class TestMethodTable:
+    @pytest.mark.parametrize(
+        "facade",
+        ["Client", "BatchBuilder", "RemoteClient", "RemoteBatchBuilder"],
+    )
+    @pytest.mark.parametrize(
+        "case", list(METHOD_CASES.values()), ids=list(METHOD_CASES)
+    )
+    def test_every_facade_builds_the_same_spec(self, facade, case):
+        method, args, kwargs, expected = case
+        assert _specs_taken(facade, method, args, kwargs) == [expected]
+
+    def test_remote_spec_error_raises_before_any_frame(self):
+        async def remote():
+            socket = _RecordingSocket()
+            client = RemoteClient(socket.reader, socket)
+            try:
+                with pytest.raises(ValueError, match="finite"):
+                    client.prsq((float("nan"), 5000.0))
+            finally:
+                await client.close()
+            return socket.taken
+
+        assert asyncio.run(remote()) == []
 
 
 # ---------------------------------------------------------------------------

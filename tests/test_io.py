@@ -112,6 +112,29 @@ def test_non_finite_coordinate_rejected(tmp_path, value):
         load_uncertain_csv(uncertain)
 
 
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        ("abc,2.0", "could not convert string to float: 'abc'"),
+        ("1.0,2.0,3.0", r"row has \d cells, the header has \d"),
+        ("1.0", r"row has \d cells, the header has \d"),
+    ],
+    ids=["non-numeric", "long-row", "short-row"],
+)
+def test_malformed_row_names_path_and_line(tmp_path, cells, message):
+    """A bad row names its file and line, as a non-finite cell does."""
+    certain = tmp_path / "certain.csv"
+    certain.write_text(f"id,attr0,attr1\na,1.0,2.0\nb,{cells}\n")
+    with pytest.raises(ValueError, match=rf"certain\.csv:3: {message}"):
+        load_certain_csv(certain)
+    uncertain = tmp_path / "uncertain.csv"
+    uncertain.write_text(
+        f"id,probability,attr0,attr1\nu,0.5,1.0,2.0\nu,0.5,{cells}\n"
+    )
+    with pytest.raises(ValueError, match=rf"uncertain\.csv:3: {message}"):
+        load_uncertain_csv(uncertain)
+
+
 class TestJsonRoundTrip:
     def test_uncertain_round_trip(self, uncertain_ds, tmp_path):
         path = tmp_path / "ds.json"
@@ -234,6 +257,35 @@ class TestCli:
             ["prsq", "--data", str(missing), "--q", "1", "1"]
         ) == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, arguments",
+        [
+            ("prsq", ["--q", "nan", "5000"]),
+            ("prsq", ["--q", "5000", "5000", "--alpha", "7"]),
+            ("explain", ["--q", "inf", "5000", "--an", "0"]),
+            ("explain-certain", ["--q", "inf", "5000", "--an", "0"]),
+        ],
+        ids=["prsq-nan", "prsq-alpha", "explain-inf", "explain-certain-inf"],
+    )
+    def test_bad_query_arguments_exit_1(
+        self, tmp_path, capsys, command, arguments
+    ):
+        """The one-shot commands check --q and --alpha as specs do."""
+        kind = "certain" if command == "explain-certain" else "uncertain"
+        data = tmp_path / "data.csv"
+        cli_main(
+            [
+                "generate", "--kind", kind, "--n", "30", "--seed", "3",
+                "--out", str(data),
+            ]
+        )
+        capsys.readouterr()
+        assert cli_main([command, "--data", str(data), *arguments]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("error: ")
 
     def test_explain_answer_is_error(self, tmp_path, capsys):
         data = tmp_path / "cars.csv"
