@@ -15,6 +15,16 @@ on:
   dataset and R-tree) reproduces the exact bits, pinning the sorted
   Eq. (2) product order.
 
+It then checks the whole-dataset map (:func:`prsq_probability_map`, whose
+Lemma-4 pre-pass proves most objects ``+0.0`` before the filter):
+
+* **map time** — at each of ``MAP_POINTS`` seeded query points, the map
+  over ``lUrU`` with 10^4 objects (seed 17, radius (0, 75)) takes at most
+  ``MAP_SECONDS``;
+* **map parity** — over 2,000 objects, its bits equal the per-object
+  :func:`reverse_skyline_probability` on every object with ``Pr > 0``
+  and on 200 seeded others.
+
 Runs standalone (the CI smoke job) or under pytest:
 
     PYTHONPATH=src python benchmarks/bench_prsq_kernels.py
@@ -29,7 +39,10 @@ from typing import Dict, List
 
 import numpy as np
 
-from repro.datasets.synthetic_uncertain import generate_uncertain_dataset
+from repro.datasets.synthetic_uncertain import (
+    generate_named,
+    generate_uncertain_dataset,
+)
 from repro.engine.kernels import eq2_segmented
 from repro.prsq.probability import (
     dominance_probability_matrix,
@@ -37,6 +50,13 @@ from repro.prsq.probability import (
     relevant_indices,
     reverse_skyline_probability,
 )
+from repro.prsq.query import prsq_probability_map
+
+#: The map check: query points, the time bar per map at 10^4 objects, and
+#: how many zero-probability objects the parity check samples.
+MAP_POINTS = 4
+MAP_SECONDS = 1.0
+MAP_ZERO_SAMPLE = 200
 
 
 def _build(objects: int, dims: int, seed: int):
@@ -154,6 +174,48 @@ def bench(
     }
 
 
+def map_check(seed: int = 17) -> Dict:
+    """Time the map at 10^4 objects and check its bits at 2,000.
+
+    Raises AssertionError on a map slower than ``MAP_SECONDS`` or on any
+    bit that differs from the per-object path.
+    """
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(3_500, 6_500, size=(MAP_POINTS, 2))
+    large = generate_named("lUrU", 10_000, 2, radius_range=(0, 75), seed=seed)
+    prsq_probability_map(large, points[0])  # tensor, boxes, index
+    seconds = []
+    for q in points:
+        started = time.perf_counter()
+        prsq_probability_map(large, q)
+        seconds.append(time.perf_counter() - started)
+    assert max(seconds) <= MAP_SECONDS, (
+        f"prsq_probability_map took {max(seconds):.2f} s at n=10^4 "
+        f"(bar: {MAP_SECONDS:.1f} s)"
+    )
+
+    dataset = generate_named("lUrU", 2_000, 2, radius_range=(0, 75), seed=seed)
+    ids = dataset.ids()
+    checked = 0
+    for q in points:
+        probabilities = prsq_probability_map(dataset, q)
+        values = np.array([value for _oid, value in probabilities.items()])
+        zero = np.flatnonzero(values == 0.0)
+        picks = np.union1d(
+            np.flatnonzero(values > 0.0),
+            rng.choice(zero, size=min(MAP_ZERO_SAMPLE, zero.size), replace=False),
+        )
+        diverged = [
+            ids[i] for i in picks.tolist()
+            if np.float64(reverse_skyline_probability(dataset, ids[i], q)).view(
+                np.int64
+            ) != values[i].view(np.int64)
+        ]
+        assert not diverged, f"map/per-object bits diverge for {diverged!r}"
+        checked += picks.size
+    return {"map_max_s": max(seconds), "map_checked": checked}
+
+
 def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--objects", type=int, default=1_000)
@@ -178,6 +240,13 @@ def main(argv=None) -> None:
         f"scalar {row['scalar_s'] * 1e3:8.1f} ms | "
         f"tensor {row['tensor_s'] * 1e3:8.1f} ms | "
         f"speedup {row['speedup']:6.1f}x (bit-identical, deterministic)"
+    )
+    row = map_check()
+    print(
+        f"bench_prsq_kernels: map n=10^4 slowest of {MAP_POINTS} points "
+        f"{row['map_max_s'] * 1e3:.1f} ms (bar {MAP_SECONDS * 1e3:.0f} ms) | "
+        f"n=2000 {row['map_checked']} objects bit-identical to the "
+        "per-object path"
     )
 
 

@@ -18,11 +18,13 @@ computes).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Hashable, List, Mapping, Optional, Tuple
+from typing import (
+    Any, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple,
+)
 
 from repro.api import wire
 from repro.core.model import Cause, CauseKind, CausalityResult, RunStats
-from repro.prsq.query import ProbabilityMap
+from repro.prsq.query import NonAnswerIds, ProbabilityMap
 
 SCHEMA_VERSION = 2
 
@@ -44,7 +46,9 @@ class PRSQResult:
 
     want: str
     alpha: float
-    ids: Optional[Tuple[Hashable, ...]] = None          # answers / non_answers
+    # answers / non_answers: a tuple, or the engine's read-only
+    # NonAnswerIds view (equal to and hashing like the tuple)
+    ids: Optional[Sequence[Hashable]] = None
     # a read-only ProbabilityMap from the engine, a dict when decoded
     probabilities: Optional[Mapping[Hashable, float]] = None
 
@@ -54,7 +58,9 @@ class PRSQResult:
             if not isinstance(value, ProbabilityMap):
                 value = dict(value)
             return cls(want=spec.want, alpha=spec.alpha, probabilities=value)
-        return cls(want=spec.want, alpha=spec.alpha, ids=tuple(value))
+        if not isinstance(value, NonAnswerIds):
+            value = tuple(value)
+        return cls(want=spec.want, alpha=spec.alpha, ids=value)
 
     def to_raw(self) -> Any:
         if self.want == "probabilities":

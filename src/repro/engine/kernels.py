@@ -42,6 +42,15 @@ _PAIR_BLOCK_ELEMENTS = 1 << 13
 # instantiation-distance scratch.
 _WORLD_CHUNK = 256
 
+# Boxes per orthant of q that certainly_dominated tries, nearest q first.
+# On lUrU (n = 1000, radius (0, 75)) 16 of them resolve ~97.6 % of the
+# objects, nearly all of the ~98.5 % whose Pr(u) is zero.
+_CANDIDATES_PER_ORTHANT = 16
+
+# (point, candidate) pairs per certainly_dominated chunk: bounds its
+# per-dimension (points, candidates) scratch.
+_CANDIDATE_PAIR_ELEMENTS = 1 << 16
+
 
 def _dominance_block(dp: np.ndarray, dq: np.ndarray) -> np.ndarray:
     """Dynamic-dominance predicate on pre-computed |·-center| distances.
@@ -134,6 +143,78 @@ def dominator_counts(
         mask[rows, start + rows] = False
         counts[start : start + centers.shape[0]] = mask.sum(axis=1)
     return counts
+
+
+def certainly_dominated(
+    lo: np.ndarray,
+    hi: np.ndarray,
+    eligible: np.ndarray,
+    points: np.ndarray,
+    owners: np.ndarray,
+    q: PointLike,
+) -> np.ndarray:
+    """Lemma-4 pre-pass: points for which another whole box dominates ``q``.
+
+    ``lo`` / ``hi`` are ``(n, d)`` boxes, one per object, and ``eligible``
+    marks the objects whose Eq. (3) sum over every sample is exactly
+    ``1.0``.  ``out[k]`` is ``True`` only if some eligible object ``v !=
+    owners[k]`` has every float of its box passing
+    :func:`_dominance_block`'s comparisons against ``q`` w.r.t.
+    ``points[k]``: then every sample of ``v`` dominates, ``v``'s Eq. (3)
+    entry is its full sum ``1.0``, and the survival factor
+    ``1.0 - 1.0`` is exactly ``+0.0``.  ``False`` proves nothing.
+
+    ``fl(x - s)`` is monotone in ``x``, so the box passes when
+    ``dist_j = max(|fl(lo_j - s_j)|, |fl(hi_j - s_j)|)`` is ``<=
+    |fl(q_j - s_j)|`` in every dimension and ``<`` in one.  A dominator
+    of ``q`` w.r.t. ``s`` lies in ``s``'s closed orthant of ``q``, so
+    each point is tested only against the ``_CANDIDATES_PER_ORTHANT``
+    eligible boxes nearest ``q`` (Chebyshev distance to the far corner)
+    that lie strictly inside its own orthant.  With ``lo == hi`` the
+    boxes are certain points.
+    """
+    lo = np.asarray(lo, dtype=np.float64)
+    hi = np.asarray(hi, dtype=np.float64)
+    points = np.asarray(points, dtype=np.float64)
+    owners = np.asarray(owners, dtype=np.intp)
+    dims = points.shape[1]
+    qq = as_point(q, dims=dims)
+    out = np.zeros(points.shape[0], dtype=bool)
+    bits = 1 << np.arange(dims)
+    above, below = lo > qq, hi < qq
+    boxes = np.flatnonzero(
+        np.asarray(eligible, dtype=bool) & (above | below).all(axis=1)
+    )
+    box_orthant = above[boxes] @ bits
+    far = np.maximum(np.abs(lo[boxes] - qq), np.abs(hi[boxes] - qq)).max(axis=1)
+    # a point on one of q's hyperplanes has reach 0 there: nothing passes
+    point_orthant = np.where(
+        (points != qq).all(axis=1), (points > qq) @ bits, -1
+    )
+    reach = np.abs(qq - points)
+    for orthant in np.unique(box_orthant).tolist():
+        ranked = np.flatnonzero(box_orthant == orthant)
+        ranked = ranked[np.argsort(far[ranked], kind="stable")]
+        candidates = boxes[ranked[:_CANDIDATES_PER_ORTHANT]]
+        tested = np.flatnonzero(point_orthant == orthant)
+        chunk = max(1, _CANDIDATE_PAIR_ELEMENTS // candidates.size)
+        for start in range(0, tested.size, chunk):
+            k = tested[start : start + chunk]
+            s, r = points[k][:, :, np.newaxis], reach[k][:, :, np.newaxis]
+            for j in range(dims):
+                dist = np.maximum(
+                    np.abs(lo[candidates, j] - s[:, j]),
+                    np.abs(hi[candidates, j] - s[:, j]),
+                )
+                if j == 0:
+                    within, strict = dist <= r[:, j], dist < r[:, j]
+                else:
+                    within &= dist <= r[:, j]
+                    strict |= dist < r[:, j]
+            within &= strict
+            within &= owners[k][:, np.newaxis] != candidates
+            out[k] = within.any(axis=1)
+    return out
 
 
 def points_in_any_window(

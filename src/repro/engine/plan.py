@@ -60,16 +60,14 @@ def plan_prsq(spec: PRSQSpec) -> QueryPlan:
             if spec.want == "probabilities":
                 return probabilities
             if spec.want == "answers":
-                return [
-                    oid for oid, pr in probabilities.items()
-                    if pr >= spec.alpha
-                ]
-            return [oid for oid, pr in probabilities.items() if pr < spec.alpha]
+                return probabilities.answers(spec.alpha)
+            return probabilities.non_answers(spec.alpha)
 
     return QueryPlan(
         spec=spec,
-        steps=("prsq-probabilities (cached per query point; "
-               "grouped packed filter, segmented eq3/eq2 kernel)",
+        steps=("prsq-probabilities (cached per query point; lemma-4 "
+               "pre-pass, then grouped packed filter and segmented "
+               "eq3/eq2 kernel over the unresolved objects)",
                f"threshold-filter alpha={spec.alpha} want={spec.want}"),
         runner=run,
     )

@@ -284,7 +284,8 @@ class Session:
         same point with different thresholds share one evaluation — this
         is the engine's single biggest amortization for multi-user traffic
         against a common catalogue.  The map is read-only, so the cache
-        hands out the cached object itself, at 8 bytes an object.
+        hands out the cached object itself; it stores only the rows the
+        Lemma-4 pre-pass left to compute.
         """
         q_tuple = tuple(float(v) for v in q)
         key = self._key("prsq-probabilities", q_tuple)

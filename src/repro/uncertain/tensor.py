@@ -19,13 +19,20 @@ built lazily by :attr:`repro.uncertain.dataset.UncertainDataset.tensor`
 and cached for the dataset's lifetime — sound because
 :class:`~repro.uncertain.object.UncertainObject` arrays are immutable.
 
+Each row's box — the exact min and max over its real samples — and
+whether its probabilities, added left to right from ``+0.0`` as the
+Eq. (3) kernel adds them, come to exactly ``1.0`` are computed on the
+first :meth:`~DatasetTensor.boxes` call and kept with the tensor: the
+Lemma-4 pre-pass of :func:`repro.prsq.query.prsq_probability_map` reads
+them on every query.
+
 Live updates never mutate a tensor in place (query code may still hold a
 reference): :meth:`~DatasetTensor.with_inserted_rows`,
 :meth:`~DatasetTensor.with_deleted_rows` and
 :meth:`~DatasetTensor.with_replaced_rows` derive a patched tensor in one
 O(n) array copy per batch — re-padding only when a new object's sample
 count grows ``S_max`` — which is how a change avoids the per-object
-rebuild loop.
+rebuild loop.  A patched tensor computes its boxes afresh on first use.
 """
 
 from __future__ import annotations
@@ -40,7 +47,9 @@ from repro.uncertain.object import UncertainObject
 class DatasetTensor:
     """Rectangular (padded + masked) arrays over one object sequence."""
 
-    __slots__ = ("samples", "probabilities", "mask", "ids", "index_of")
+    __slots__ = (
+        "samples", "probabilities", "mask", "ids", "index_of", "_boxes",
+    )
 
     def __init__(self, objects: Sequence[UncertainObject]):
         n = len(objects)
@@ -65,6 +74,7 @@ class DatasetTensor:
         self.index_of: Dict[Hashable, int] = {
             oid: i for i, oid in enumerate(self.ids)
         }
+        self._boxes = None
 
     # ------------------------------------------------------------------
     @property
@@ -78,6 +88,29 @@ class DatasetTensor:
     @property
     def dims(self) -> int:
         return self.samples.shape[2]
+
+    def boxes(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(lo, hi, sums_to_one)``: each row's box and full-sum flag.
+
+        ``lo`` / ``hi`` are ``(n, d)``, the exact min and max over the
+        row's real samples; ``sums_to_one`` is ``(n,)``, whether the row's
+        probabilities added in slot order from ``+0.0`` (the sum an Eq. (3)
+        entry reaches when every slot dominates) equal ``1.0`` exactly.
+        Computed on the first call, then kept for the tensor's lifetime.
+        """
+        if self._boxes is None:
+            from repro.engine.kernels import masked_ordered_sum
+
+            real = self.mask[:, :, np.newaxis]
+            boxes = (
+                np.where(real, self.samples, np.inf).min(axis=1),
+                np.where(real, self.samples, -np.inf).max(axis=1),
+                masked_ordered_sum(self.probabilities, self.mask) == 1.0,
+            )
+            for array in boxes:
+                array.flags.writeable = False
+            self._boxes = boxes
+        return self._boxes
 
     # ------------------------------------------------------------------
     # derived (patched) tensors — the incremental-update fast path
@@ -98,17 +131,24 @@ class DatasetTensor:
         tensor.mask = mask
         tensor.ids = ids
         tensor.index_of = {oid: i for i, oid in enumerate(ids)}
+        tensor._boxes = None
         return tensor
 
     # ------------------------------------------------------------------
-    # pickling (worker handoff): re-freeze the restored arrays
+    # pickling (worker handoff): re-freeze the restored arrays; the boxes
+    # are not sent, a worker computes its own on first use
     # ------------------------------------------------------------------
     def __getstate__(self) -> dict:
-        return {slot: getattr(self, slot) for slot in self.__slots__}
+        return {
+            slot: getattr(self, slot)
+            for slot in self.__slots__
+            if slot != "_boxes"
+        }
 
     def __setstate__(self, state: dict) -> None:
         for slot, value in state.items():
             setattr(self, slot, value)
+        self._boxes = None
         # unpickled arrays come back writable; a worker's copy must keep
         # the same read-only contract as the tensor it was cloned from
         for array in (self.samples, self.probabilities, self.mask):

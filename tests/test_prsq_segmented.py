@@ -12,7 +12,11 @@ reduction to show.
 
 from __future__ import annotations
 
+import dataclasses
+import gc
+import json
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +36,7 @@ from repro.prsq.probability import (
     relevant_indices,
     reverse_skyline_probability,
 )
-from repro.prsq.query import ProbabilityMap, prsq_probability_map
+from repro.prsq.query import NonAnswerIds, ProbabilityMap, prsq_probability_map
 from repro.uncertain.dataset import UncertainDataset
 from repro.uncertain.object import UncertainObject
 
@@ -328,6 +332,152 @@ class TestProbabilityMap:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ProbabilityMap(["a"], np.array([0.1, 0.2]))
+        with pytest.raises(ValueError):
+            ProbabilityMap.from_rows(["a", "b"], [0, 1], [0.1])
+
+    def _compact(self):
+        # rows 1 and 3 computed (one of them -0.0); 0 and 2 pruned
+        return ProbabilityMap.from_rows(
+            ["a", "b", ("c", 1), "d"], np.array([1, 3]), np.array([0.5, -0.0])
+        )
+
+    def test_compact_rows(self):
+        probs = self._compact()
+        expected = {"a": 0.0, "b": 0.5, ("c", 1): 0.0, "d": -0.0}
+        assert probs == expected and expected == probs
+        assert list(probs) == ["a", "b", ("c", 1), "d"]
+        items = list(probs.items())
+        assert items == list(expected.items())
+        assert [np.float64(v).view(np.int64) for _k, v in items] == [
+            np.float64(v).view(np.int64) for v in expected.values()
+        ]
+        assert probs["a"] == 0.0 and type(probs["a"]) is float
+        assert np.signbit(probs["d"]) and not np.signbit(probs["a"])
+        with pytest.raises(KeyError):
+            probs["z"]
+        with pytest.raises(ValueError):
+            probs._rows[0] = 0
+        with pytest.raises(ValueError):
+            probs._values[0] = 0.0
+        clone = pickle.loads(pickle.dumps(probs))
+        assert clone == probs and list(clone) == list(probs)
+        assert np.signbit(clone["d"])
+
+    def test_dense_constructor_keeps_rows_not_positive_zero(self):
+        probs = ProbabilityMap(["a", "b", "c"], np.array([0.0, -0.0, 0.3]))
+        assert probs._rows.tolist() == [1, 2]
+        assert np.signbit(probs["b"]) and probs["c"] == 0.3
+        assert dict(probs.items()) == {"a": 0.0, "b": -0.0, "c": 0.3}
+
+    def test_thresholds(self):
+        probs = ProbabilityMap(
+            ["a", "b", "c", "d"], np.array([0.25, 0.0, 0.75, 0.5])
+        )
+        assert probs.answers(0.5) == ["c", "d"]
+        assert probs.non_answers(0.5) == ["a", "b"]
+        assert probs.answers(1.0) == [] and probs.non_answers(1.0) == list(probs)
+        for alpha in (0.0, -0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                probs.answers(alpha)
+            with pytest.raises(ValueError):
+                probs.non_answers(alpha)
+
+
+class TestNonAnswerIds:
+    IDS = ["a", "b", ("c", 1), "d", "e"]
+
+    def test_sequence_semantics(self):
+        view = NonAnswerIds(self.IDS, [1, 3])
+        kept = ("a", ("c", 1), "e")
+        assert len(view) == 3 and tuple(view) == kept and list(view) == list(kept)
+        assert [view[i] for i in range(3)] == list(kept)
+        assert view[-1] == "e" and view[-3] == "a"
+        assert view[1:] == kept[1:] and view[::-1] == kept[::-1]
+        with pytest.raises(IndexError):
+            view[3]
+        with pytest.raises(IndexError):
+            view[-4]
+        assert ("c", 1) in view and "b" not in view and "z" not in view
+        assert view.index("e") == 2 and view.count("a") == 1
+        assert tuple(NonAnswerIds(self.IDS, [])) == tuple(self.IDS)
+        assert tuple(NonAnswerIds(self.IDS, [0, 4])) == ("b", ("c", 1), "d")
+        assert repr(view) == f"NonAnswerIds({kept!r})"
+
+    def test_equal_to_and_hashing_like_tuple_and_list(self):
+        view = NonAnswerIds(self.IDS, [1, 3])
+        kept = ("a", ("c", 1), "e")
+        assert view == kept and kept == view
+        assert view == list(kept) and list(kept) == view
+        assert hash(view) == hash(kept)
+        assert view == NonAnswerIds(list(kept), [])
+        assert view != kept[:2] and view != list(kept) + ["f"]
+        assert view != ("a", ("c", 1), "f") and view != set(kept)
+        assert {kept: 1}[view] == 1
+
+    def test_pickle_is_the_same_view(self):
+        view = NonAnswerIds(self.IDS, [1, 3])
+        clone = pickle.loads(pickle.dumps(view))
+        assert type(clone) is NonAnswerIds and clone == view
+
+    def test_prsq_result_keeps_the_view(self, rng):
+        from repro.api.results import QueryResult
+
+        session = Session(make_uncertain_dataset(rng, 30))
+        spec = PRSQSpec(q=(5.0, 5.0), alpha=0.3, want="non_answers")
+        envelope = session.query(spec)
+        value = envelope.value
+        assert isinstance(value.ids, NonAnswerIds)
+        raw = value.to_raw()
+        assert type(raw) is list and raw == list(value.ids)
+        decoded = PRSQResult.from_dict(value.to_dict())
+        assert type(decoded.ids) is tuple
+        assert decoded == value and value == decoded
+        assert hash(decoded) == hash(value)
+        assert PRSQResult.from_dict(decoded.to_dict()) == decoded
+        assert QueryResult.from_dict(envelope.to_dict()) == envelope
+        # the wire bytes are those of the tuple the view stands for
+        as_tuple = PRSQResult(want=value.want, alpha=value.alpha,
+                              ids=tuple(value.ids))
+        assert json.dumps(value.to_dict()) == json.dumps(as_tuple.to_dict())
+        assert json.dumps(envelope.to_dict()) == json.dumps(
+            dataclasses.replace(envelope, value=as_tuple).to_dict()
+        )
+
+
+def test_prsq_results_retain_little_memory():
+    """600 distinct-point PRSQs in ``prsq-cold``'s want mix, values kept.
+
+    Each map stores only the rows the pre-pass left open, and a
+    non-answer set is a view over the map's ids, so a query's cached map,
+    cached result and kept value stay a few hundred bytes, not one
+    reference and one float per object.
+    """
+    from repro.api import connect
+    from repro.datasets.synthetic_uncertain import generate_named
+
+    dataset = generate_named("lUrU", 1000, 2, radius_range=(0, 75), seed=17)
+    client = connect(dataset)
+    points = np.random.default_rng(3).uniform(3500.0, 6500.0, size=(601, 2))
+    alphas = (0.2, 0.4, 0.6, 0.8)
+    wants = ("answers", "non_answers", "probabilities")
+    specs = [
+        PRSQSpec(q=tuple(point.tolist()), alpha=alphas[i % 4], want=wants[i % 3])
+        for i, point in enumerate(points)
+    ]
+    client.query(specs[0])  # tensor, boxes and index are built once
+    kept = {}
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for i, spec in enumerate(specs[1:]):
+            kept[i] = client.query(spec).value
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(kept) == 600
+    assert retained / 600 < 3 * 1024, f"{retained / 600:.0f} bytes a query"
 
     def test_prsq_result_round_trip(self, rng):
         session = Session(make_uncertain_dataset(rng, 20))

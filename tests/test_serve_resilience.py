@@ -313,7 +313,12 @@ class TestClientRetry:
 
         async def main():
             async def black_hole(reader, writer):
-                await reader.read()  # swallow everything, answer nothing
+                try:
+                    await reader.read()  # swallow everything, answer nothing
+                finally:
+                    # a writer left open is collected after the loop has
+                    # closed and warns from a later test
+                    writer.close()
 
             server = await asyncio.start_server(
                 black_hole, host="127.0.0.1", port=0
