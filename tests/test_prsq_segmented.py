@@ -382,6 +382,23 @@ class TestProbabilityMap:
             with pytest.raises(ValueError):
                 probs.non_answers(alpha)
 
+    def test_prsq_result_round_trip(self, rng):
+        session = Session(make_uncertain_dataset(rng, 20))
+        envelope = session.query(
+            PRSQSpec(q=(5.0, 5.0), alpha=0.5, want="probabilities")
+        )
+        value = envelope.value
+        assert isinstance(value.probabilities, ProbabilityMap)
+        decoded = PRSQResult.from_dict(value.to_dict())
+        assert decoded == value
+        assert value.to_raw() == dict(value.probabilities.items())
+        # the cached map is handed out as-is: it is read-only
+        again = session.query(
+            PRSQSpec(q=(5.0, 5.0), alpha=0.5, want="probabilities")
+        )
+        assert again.run.cached
+        assert again.value.probabilities is value.probabilities
+
 
 class TestNonAnswerIds:
     IDS = ["a", "b", ("c", 1), "d", "e"]
@@ -478,20 +495,3 @@ def test_prsq_results_retain_little_memory():
         tracemalloc.stop()
     assert len(kept) == 600
     assert retained / 600 < 3 * 1024, f"{retained / 600:.0f} bytes a query"
-
-    def test_prsq_result_round_trip(self, rng):
-        session = Session(make_uncertain_dataset(rng, 20))
-        envelope = session.query(
-            PRSQSpec(q=(5.0, 5.0), alpha=0.5, want="probabilities")
-        )
-        value = envelope.value
-        assert isinstance(value.probabilities, ProbabilityMap)
-        decoded = PRSQResult.from_dict(value.to_dict())
-        assert decoded == value
-        assert value.to_raw() == dict(value.probabilities.items())
-        # the cached map is handed out as-is: it is read-only
-        again = session.query(
-            PRSQSpec(q=(5.0, 5.0), alpha=0.5, want="probabilities")
-        )
-        assert again.run.cached
-        assert again.value.probabilities is value.probabilities
