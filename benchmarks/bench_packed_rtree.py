@@ -1,26 +1,31 @@
-"""Packed vs. pointer R-tree traversal on the many-window filter phase.
+"""Packed R-tree traversal vs. the pointer reference, and the index build.
 
 Times the Lemma-2-shaped workload every index-guided algorithm funnels
 through: for a batch of target objects, collect all dataset objects whose
 MBR crosses any of the target's per-sample dominance rectangles.  The
-pointer path answers one ``range_search_any`` per target; the packed path
-(:class:`repro.index.packed.PackedRTree`) answers the whole batch with one
-grouped level-frontier pass.  Three properties are asserted:
+pointer side is the node-by-node reference traversal of
+:mod:`tests.reference.rtree`, one ``range_search_any`` per target over
+the same STR tree; the packed side (:class:`repro.index.packed.PackedRTree`)
+answers the whole batch with one grouped level-frontier ``group_hits``
+pass.  Asserted:
 
 * **speedup** — the packed kernel must beat the pointer loop by at least
   ``--min-speedup`` (default 5x, the acceptance bar on the 1,000-object
   2-d workload);
-* **bit parity** — identical hit lists (both paths share the canonical
-  unique/``repr``-sorted contract) and *identical* ``AccessStats`` node /
-  leaf / query counts;
-* **churn parity** — after a ``DatasetDelta`` insert/update/delete mix the
-  re-frozen snapshot still matches the patched pointer tree exactly.
+* **bit parity** — identical hit sets and *identical* ``AccessStats``
+  node / leaf / query counts;
+* **churn** — after a ``DatasetDelta`` insert/update/delete mix the
+  rebuilt index equals a fresh build over the same contents, array for
+  array, and parity still holds;
+* **build** — ``PackedRTree.build`` packs 100,000 2-d boxes in at most
+  ``MAX_BUILD_S`` seconds.
 
 Emits a machine-readable ``BENCH_packed_rtree.json`` (``--json``) so CI
-records the perf trajectory.  Runs standalone or under pytest:
+records the perf trajectory.  Runs standalone from the repository root,
+which must be importable for the reference:
 
-    PYTHONPATH=src python benchmarks/bench_packed_rtree.py
-    PYTHONPATH=src python benchmarks/bench_packed_rtree.py --objects 300
+    PYTHONPATH=src:. python benchmarks/bench_packed_rtree.py
+    PYTHONPATH=src:. python benchmarks/bench_packed_rtree.py --objects 300
 """
 
 from __future__ import annotations
@@ -34,8 +39,14 @@ import numpy as np
 from repro.bench.reporting import write_json_report
 from repro.core.candidates import filter_rectangles
 from repro.datasets.synthetic_uncertain import generate_uncertain_dataset
+from repro.index.packed import PackedRTree, pack_window_groups
+from repro.uncertain.dataset import UncertainDataset
 from repro.uncertain.delta import DatasetDelta
 from repro.uncertain.object import UncertainObject
+
+#: Boxes (2-d) packed by the build-time check, and its bound in seconds.
+BUILD_OBJECTS = 100_000
+MAX_BUILD_S = 1.0
 
 
 def _build(objects: int, dims: int, seed: int):
@@ -53,26 +64,34 @@ def _window_groups(dataset, targets: List, q: np.ndarray) -> List[List]:
 
 
 def _timed_pointer(dataset, groups) -> Dict:
-    tree = dataset.rtree
-    with dataset.access_stats.measure() as snapshot:
+    """One reference ``range_search_any`` per group over the same STR tree."""
+    from tests.reference import rtree as reference_rtree
+
+    tree = reference_rtree.dataset_tree(dataset)  # built outside the timing
+    with tree.stats.measure() as snapshot:
         started = time.perf_counter()
-        hits = [tree.range_search_any(group) for group in groups]
+        hits = [reference_rtree.range_search_any(tree, g) for g in groups]
         seconds = time.perf_counter() - started
     return {"hits": hits, "seconds": seconds, "stats": snapshot}
 
 
 def _timed_packed(dataset, groups) -> Dict:
-    packed = dataset.packed  # freeze outside the timed region (O(n) pass)
+    packed = dataset.packed  # built outside the timed region
     with dataset.access_stats.measure() as snapshot:
         started = time.perf_counter()
-        hits = packed.range_search_any_grouped(groups)
+        hit_groups, rows = packed.group_hits(
+            *pack_window_groups(groups, dataset.dims)
+        )
         seconds = time.perf_counter() - started
+    hits = [
+        np.unique(rows[hit_groups == g]).tolist() for g in range(len(groups))
+    ]
     return {"hits": hits, "seconds": seconds, "stats": snapshot}
 
 
 def _assert_parity(pointer: Dict, packed: Dict, label: str) -> None:
     assert pointer["hits"] == packed["hits"], (
-        f"{label}: packed hit lists diverge from the pointer tree"
+        f"{label}: packed hit sets diverge from the pointer tree"
     )
     a, b = pointer["stats"], packed["stats"]
     observed = (b.node_accesses, b.leaf_accesses, b.queries)
@@ -81,6 +100,26 @@ def _assert_parity(pointer: Dict, packed: Dict, label: str) -> None:
         f"{label}: access accounting diverges "
         f"(pointer {expected}, packed {observed})"
     )
+
+
+def _assert_fresh_build(dataset) -> None:
+    """The index rebuilt after writes equals a fresh dataset's, bit for bit."""
+    from tests.reference import rtree as reference_rtree
+
+    fresh = UncertainDataset(dataset.objects(), page_size=dataset.page_size)
+    assert reference_rtree.same_layout(
+        reference_rtree.layout(dataset.packed),
+        reference_rtree.layout(fresh.packed),
+    ), "after DatasetDelta churn: the index differs from a fresh build"
+
+
+def _timed_build(seed: int) -> float:
+    rng = np.random.default_rng(seed)
+    lo = rng.uniform(0.0, 10_000.0, size=(BUILD_OBJECTS, 2))
+    hi = lo + rng.uniform(0.0, 150.0, size=(BUILD_OBJECTS, 2))
+    started = time.perf_counter()
+    PackedRTree.build(lo, hi)
+    return time.perf_counter() - started
 
 
 def _churn(dataset, seed: int) -> None:
@@ -131,12 +170,12 @@ def bench(
     groups = _window_groups(dataset, targets, q)
     n_windows = sum(len(g) for g in groups)
 
-    dataset.rtree  # build the tree outside every timed region
     pointer = _timed_pointer(dataset, groups)
     packed = _timed_packed(dataset, groups)
     _assert_parity(pointer, packed, "fresh dataset")
 
     speedup = pointer["seconds"] / max(packed["seconds"], 1e-12)
+    build_s = _timed_build(seed)
     row = {
         "objects": objects,
         "dims": dims,
@@ -146,6 +185,8 @@ def bench(
         "pointer_s": pointer["seconds"],
         "packed_s": packed["seconds"],
         "speedup": speedup,
+        "build_objects": BUILD_OBJECTS,
+        "build_s": build_s,
     }
     if json_path:
         write_json_report(
@@ -168,11 +209,16 @@ def bench(
         f"packed traversal only {speedup:.1f}x faster than the pointer "
         f"loop (bar: {min_speedup:.1f}x)"
     )
+    assert build_s <= MAX_BUILD_S, (
+        f"PackedRTree.build over {BUILD_OBJECTS} boxes took {build_s:.2f} s "
+        f"(bar: {MAX_BUILD_S:.1f} s)"
+    )
 
-    # Parity must survive incremental churn: the delta patches the pointer
-    # tree in place and invalidates the snapshot, which re-freezes lazily.
+    # Every write drops the index; the next access packs it afresh from
+    # the patched tensor, exactly as a fresh dataset would.
     _churn(dataset, seed)
-    assert dataset._packed is None, "churn must invalidate the snapshot"
+    assert dataset._packed is None, "churn must invalidate the index"
+    _assert_fresh_build(dataset)
     survivors = [oid for oid in targets if oid in dataset]
     churn_groups = _window_groups(dataset, survivors, q)
     _assert_parity(
@@ -211,8 +257,9 @@ def main(argv=None) -> None:
         f"windows={row['windows']} | "
         f"pointer {row['pointer_s'] * 1e3:8.1f} ms | "
         f"packed {row['packed_s'] * 1e3:8.1f} ms | "
-        f"speedup {row['speedup']:6.1f}x "
-        "(bit-identical hits, identical node accesses, churn-stable)"
+        f"speedup {row['speedup']:6.1f}x | "
+        f"build n={row['build_objects']} {row['build_s'] * 1e3:.1f} ms "
+        "(identical hits and node accesses, churn equals fresh build)"
     )
 
 

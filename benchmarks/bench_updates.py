@@ -3,11 +3,12 @@
 Replays the same churn workload — single-object inserts, updates and
 deletes against a 1,000-object 2-d dataset — down both update paths:
 
-* **incremental** — ``Session.apply(delta)`` patches the R-tree, the
-  cached tensor and the content digest in O(changed) work;
+* **incremental** — ``Session.apply(delta)`` patches the cached tensor
+  and the content digest in O(changed) work, and the R-tree is packed
+  afresh from the patched tensor's boxes;
 * **full rebuild** — the pre-delta behavior: build a brand-new dataset
-  and ``replace_dataset`` it, paying the STR bulk load, the tensor
-  rebuild and the fingerprint pass for every single-object change.
+  and ``replace_dataset`` it, paying the tensor rebuild, the STR pack and
+  the fingerprint pass for every single-object change.
 
 After each op both paths force the same derived state (fingerprint,
 R-tree, tensor) so neither side can hide lazy work.  Asserts:
@@ -67,7 +68,7 @@ def build_workload(objects: int, churn: int, seed: int):
 def _force_derived(session: Session) -> None:
     """Touch everything a query would need: fingerprint, index, tensor."""
     session.fingerprint
-    session.dataset.rtree
+    session.dataset.packed
     session.dataset.tensor
 
 
@@ -114,7 +115,7 @@ def run_full_rebuild(dataset_objects: List, ops, page_size: int) -> Dict:
             reindex()
         # The pre-delta path: reconstruct every object (as any reload from
         # the source of truth does) and replace wholesale — the full O(n)
-        # re-validate + re-fingerprint + STR bulk load + tensor rebuild.
+        # re-validate + re-fingerprint + tensor rebuild + STR pack.
         session.replace_dataset(
             UncertainDataset(
                 [_clone(obj) for obj in contents], page_size=page_size

@@ -61,7 +61,6 @@ from repro.exceptions import (
     ReproError,
 )
 from repro.geometry import Rect
-from repro.index import RTree, bulk_load
 from repro.prsq import (
     MembershipOracle,
     probabilistic_reverse_skyline,
@@ -106,7 +105,6 @@ __all__ = [
     "NotANonAnswerError",
     "ParallelExecutor",
     "QueryOutcome",
-    "RTree",
     "Rect",
     "SerialExecutor",
     "Session",
@@ -118,7 +116,6 @@ __all__ = [
     "UniformBoxObject",
     "WeightSet",
     "brute_force_causality",
-    "bulk_load",
     "compute_causality",
     "compute_causality_bichromatic",
     "compute_causality_certain",

@@ -25,32 +25,29 @@ from repro.uncertain.dataset import CertainDataset
 
 def confirm_dominators(
     dataset: CertainDataset,
-    hits: List[Hashable],
+    hits: np.ndarray,
     an_oid: Optional[Hashable],
     qq: np.ndarray,
     an_point: np.ndarray,
 ) -> List[Hashable]:
     """Window-query hits that really dominate ``q`` w.r.t. ``an_point``.
 
-    One batched :func:`repro.engine.kernels.dominance_mask` call over the
-    hits' rows of ``dataset.points``, gathered by position, sorted for
+    *hits* are dataset positions, as the index answers them.  One batched
+    :func:`repro.engine.kernels.dominance_mask` call over those rows of
+    ``dataset.points``; the confirmed ids come back sorted for
     deterministic output.  *an_oid*, the object at ``an_point``, is left
     out (its dominators come from P - {an}); ``None`` keeps every hit,
     for hits drawn from another dataset (the bichromatic products).
     """
     from repro.engine.kernels import dominance_mask
 
-    if an_oid is None:
-        pool = list(hits)
-    else:
-        pool = [oid for oid in hits if oid != an_oid]
-    if not pool:
+    if an_oid is not None:
+        hits = hits[hits != dataset.index_of(an_oid)]
+    if not hits.size:
         return []
-    points = dataset.points[dataset._positions(pool)]
-    dominating = dominance_mask(points, qq, an_point)
-    return sorted(
-        (oid for oid, hit in zip(pool, dominating) if hit), key=repr
-    )
+    dominating = dominance_mask(dataset.points[hits], qq, an_point)
+    ids = dataset.tensor.ids
+    return sorted((ids[row] for row in hits[dominating].tolist()), key=repr)
 
 
 def compute_causality_certain(

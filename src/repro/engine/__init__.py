@@ -4,7 +4,7 @@ The engine layers a production-style execution model over the paper's
 algorithms:
 
 * :class:`~repro.engine.session.Session` — owns a dataset and its
-  bulk-loaded R-tree, reusing both across queries;
+  STR-packed R-tree, reusing both across queries;
 * :mod:`~repro.engine.spec` — declarative :class:`QuerySpec` values for
   the full query zoo (CP/CR/pdf causality, PRSQ, reverse skyline,
   reverse k-skyband, reverse top-k);

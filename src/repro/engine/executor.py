@@ -1,13 +1,11 @@
 """Executors: serial and multiprocess fan-out for query batches.
 
-The :class:`ParallelExecutor` ships the *dataset contents* plus the frozen
-:class:`~repro.index.packed.PackedRTree` arrays (never the pointer R-tree)
-to each worker once, via the pool initializer; workers adopt the packed
-snapshot by array handoff — no per-worker O(n log n) index rebuild — build
-their own session (cache, kernels) and then drain chunks of
-``(index, spec)`` pairs.  Contiguous chunks submitted in order keep the
-result order deterministic and identical to the serial executor, which is
-asserted by the engine parity tests.
+The :class:`ParallelExecutor` ships the *dataset contents* to each worker
+once, via the pool initializer; workers build their own session (index,
+cache, kernels) and then drain chunks of ``(index, spec)`` pairs.
+Contiguous chunks submitted in order keep the result order deterministic
+and identical to the serial executor, which is asserted by the engine
+parity tests.
 Per-spec *data* errors (unknown object ids, a causality query on an
 object that is actually an answer, ...) are captured into the outcome's
 ``error`` field rather than aborting the batch; spec/session mismatches
@@ -79,49 +77,33 @@ def _execute_captured(session: "Session", spec: QuerySpec) -> "QueryOutcome":
 
 
 # ---------------------------------------------------------------------------
-# dataset (de)hydration — ship contents plus the frozen packed index, so
-# workers reconstruct the spatial index by array handoff instead of a
-# per-worker O(n log n) rebuild
+# dataset (de)hydration — ship the contents; each worker builds its own index
 # ---------------------------------------------------------------------------
 def _dataset_payload(dataset: UncertainDataset) -> Dict[str, Any]:
     if isinstance(dataset, CertainDataset):
-        payload: Dict[str, Any] = {
+        return {
             "kind": "certain",
             "points": dataset.points,
             "ids": dataset.ids(),
             "names": [obj.name for obj in dataset],
             "page_size": dataset.page_size,
         }
-    else:
-        payload = {
-            "kind": "uncertain",
-            "objects": dataset.objects(),
-            "page_size": dataset.page_size,
-        }
-    # The packed snapshot is immutable contiguous arrays — cheap to pickle
-    # and adopted as-is on the other side (PackedRTree.__getstate__ drops
-    # the shared stats counter).  Only shipped when already frozen: a lazy
-    # parent stays lazy end to end.
-    payload["packed"] = dataset._packed
-    return payload
+    return {
+        "kind": "uncertain",
+        "objects": dataset.objects(),
+        "page_size": dataset.page_size,
+    }
 
 
 def _restore_dataset(payload: Dict[str, Any]) -> UncertainDataset:
     if payload["kind"] == "certain":
-        dataset: UncertainDataset = CertainDataset(
+        return CertainDataset(
             payload["points"],
             ids=payload["ids"],
             names=payload["names"],
             page_size=payload["page_size"],
         )
-    else:
-        dataset = UncertainDataset(
-            payload["objects"], page_size=payload["page_size"]
-        )
-    packed = payload.get("packed")
-    if packed is not None:
-        dataset.adopt_packed(packed)
-    return dataset
+    return UncertainDataset(payload["objects"], page_size=payload["page_size"])
 
 
 # ---------------------------------------------------------------------------
@@ -321,8 +303,6 @@ class ParallelExecutor(Executor):
         bool,
         Optional[faults.FaultPlan],
     ]:
-        if session.build_index:
-            session.dataset.packed  # freeze once, ship to all
         payload = _dataset_payload(session.dataset)
         pdf_objects = (
             list(session._pdf_objects.values())
@@ -331,8 +311,7 @@ class ParallelExecutor(Executor):
         )
         # Workers inherit the parent session's build_index verbatim: a
         # lazy session stays lazy worker-side too, and an eager worker
-        # adopts the shipped packed arrays instead of paying a
-        # per-process bulk load.
+        # builds its index at session start.
         session_kwargs: Dict[str, Any] = {"build_index": session.build_index}
         if self.cache_size <= 0:
             session_kwargs["cache"] = None

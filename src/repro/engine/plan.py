@@ -194,7 +194,7 @@ def plan_update(spec: UpdateSpec) -> QueryPlan:
         spec=spec,
         steps=(
             f"apply-delta -{len(spec.deletes)} ~{len(spec.updates)} "
-            f"+{len(spec.inserts)} (incremental rtree/tensor/digest patch)",
+            f"+{len(spec.inserts)} (incremental tensor/digest patch)",
             "bump-version-refresh-fingerprint",
         ),
         runner=run,

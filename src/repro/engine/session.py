@@ -4,7 +4,8 @@ The seed entry points rebuild the R-tree and re-evaluate PRSQ
 probabilities from scratch for every query point.  A :class:`Session`
 amortizes that work across queries:
 
-* the dataset R-tree is bulk-loaded **once**, at session construction;
+* the dataset R-tree is packed **once**, at session construction, and
+  again only after a write;
 * results (and the expensive PRSQ probability maps) are memoized in an
   LRU cache keyed by ``(dataset fingerprint, query identity)``, so a
   cache object can outlive the session — or be shared between sessions —
@@ -137,7 +138,7 @@ class QueryOutcome:
 
 
 class Session:
-    """A reusable execution context: dataset + bulk-loaded index + cache.
+    """A reusable execution context: dataset + STR-packed index + cache.
 
     Parameters
     ----------
@@ -151,8 +152,8 @@ class Session:
         Capacity of the private cache when one is built; ``0`` disables
         caching (same convention as the executor and the CLI).
     build_index:
-        Bulk-load the R-tree and freeze its packed snapshot eagerly at
-        construction (default) instead of on first use.
+        Pack the dataset R-tree (:attr:`UncertainDataset.packed`) eagerly
+        at construction (default) instead of on first use.
     tracer:
         Optional :class:`repro.obs.Tracer`.  When set, every query runs
         under a root ``query`` span, instrumented phases (filter, refine,
@@ -187,11 +188,6 @@ class Session:
             self.cache = cache
         self._pdf_objects: Dict[Hashable, ContinuousUncertainObject] = {}
         if build_index:
-            # Freeze the packed snapshot every read traverses now.  If the
-            # dataset already holds it (the worker array handoff), this is
-            # a no-op and **no pointer tree is built at all**; otherwise
-            # the bulk load runs once and the freeze adds one O(n) array
-            # pass.
             dataset.packed
 
     # ------------------------------------------------------------------
@@ -413,12 +409,12 @@ class Session:
 
         The returned session shares this session's result cache
         (fingerprinted keys keep entries sound across versions) and every
-        immutable structure — objects, tensor, packed-index arrays — but
-        owns its id maps and access counters, so a later :meth:`apply` or
+        immutable structure — objects, tensor, index arrays — but owns
+        its id maps and access counters, so a later :meth:`apply` or
         :meth:`replace_dataset` here can never be observed by queries
         already running against the snapshot: they keep serving the old
-        frozen arrays.  Cost per call is O(n) pointer copies plus one
-        O(n) packed re-freeze; see
+        arrays.  Cost per call is O(n) pointer copies plus, after a
+        write, one STR pack of the index from the tensor's boxes; see
         :meth:`repro.uncertain.dataset.UncertainDataset.snapshot`.
 
         This is the publish step of the serve layer's single-writer
@@ -454,14 +450,14 @@ class Session:
     def apply(self, delta: DatasetDelta) -> Dict[str, Any]:
         """Apply *delta* to the live dataset incrementally.
 
-        The dataset patches its own derived state in O(changed) work (the
-        R-tree via ``insert``/``delete`` — only if it was already built,
-        honoring ``build_index=False`` —, the cached tensor by row, the
-        content digest by re-combining cached per-object digests).  The
-        session then bumps :attr:`version` and refreshes its fingerprint,
-        so every cached result keyed by the old fingerprint can never be
-        served again; with a shared cache the old entries simply age out
-        of the LRU.
+        The dataset patches its cached tensor by row and re-combines the
+        content digest from cached per-object digests, in O(changed) work;
+        its index is dropped and packed afresh from the tensor's boxes on
+        next use, so it depends only on the contents.  The session then
+        bumps :attr:`version` and refreshes its fingerprint, so every
+        cached result keyed by the old fingerprint can never be served
+        again; with a shared cache the old entries simply age out of the
+        LRU.
 
         Returns a summary dict (the raw payload the ``update`` query
         family wraps): old/new fingerprints, the new version, op counts,
@@ -523,7 +519,7 @@ class Session:
         if pdf_objects is not None:
             self._pdf_objects = {obj.oid: obj for obj in pdf_objects}
         if self.build_index:
-            dataset.packed  # freeze now, as at construction
+            dataset.packed  # pack now, as at construction
 
     def __repr__(self) -> str:
         kind = "certain" if self.is_certain else "uncertain"

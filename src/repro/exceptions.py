@@ -59,12 +59,6 @@ class EmptyDatasetError(ReproError):
     code = "empty_dataset"
 
 
-class IndexError_(ReproError):
-    """An R-tree structural invariant was violated (corrupt index)."""
-
-    code = "index_corrupt"
-
-
 class SpecMismatchError(ReproError, TypeError):
     """A query spec was executed against the wrong kind of session.
 

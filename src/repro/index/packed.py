@@ -1,47 +1,50 @@
-"""Packed (flattened) NumPy snapshot of an R-tree.
+"""The dataset R-tree: an STR-packed tree held as flat NumPy arrays.
 
-The pointer :class:`~repro.index.rtree.RTree` pays a Python-level
-``Rect.intersects`` call per node per window.  For the filter phase of the
-index-guided algorithms — Lemma-2 candidate discovery, CR's window query,
-the bichromatic reverse skyline's windows, the PRSQ relevance prune — that
-scalar traversal dominates the runtime once queries arrive in batches.
+This is the index the paper assumes over every dataset (page size 4,096
+bytes, Sec. 5.1).  It is held in memory, but the fanout is derived from
+the page size as a paged implementation would derive it
+(:func:`fanout_for_page`), and every node a query reads is counted in an
+:class:`~repro.index.stats.AccessStats` — the paper's I/O metric.
 
-:class:`PackedRTree` freezes one tree into contiguous arrays:
+:meth:`PackedRTree.build` packs ``(n, d)`` box arrays bottom-up with
+Sort-Tile-Recursive: one level at a time, every open slab of a level is
+sorted by one stable sort on the box centers, so the packing equals the
+classic recursive STR loop's page for page.  The tree is stored as
 
 * ``node_lo`` / ``node_hi`` — ``(N, d)`` node MBRs in **BFS order** (the
   root is node 0; every level is a contiguous block; the leaves are
-  exactly the last level, because the R-tree keeps all leaves at equal
-  depth);
+  exactly the last level, because STR keeps all leaves at equal depth);
 * ``child_start`` / ``child_count`` — each internal node's children as a
   contiguous node-id range (BFS numbering makes sibling blocks adjacent);
 * ``entry_start`` / ``entry_count`` — each leaf's entries as a range into
-* ``entry_lo`` / ``entry_hi`` / ``payloads`` — the flattened leaf-entry
-  rectangles and their payload table.
+* ``entry_lo`` / ``entry_hi`` / ``rows`` — the flattened leaf-entry boxes
+  and the input row each one came from.
+
+Queries answer in input rows: a dataset builds its index from its tensor's
+boxes, so every hit is a dataset position with no id lookup.
 
 Traversal is a *level frontier*: all children of the current frontier are
 tested against all query windows in one broadcast comparison per level.
-The frontier visits exactly the node set the pointer traversal visits (the
-root unconditionally, then every child whose MBR crosses a window), and
-every visit is recorded through the same :class:`AccessStats` counters, so
-the paper's node-access metric is identical on both structures — this
-parity is property-tested.
-
-A snapshot is immutable and self-contained (plain arrays plus the payload
-list), so it pickles cheaply: :class:`~repro.engine.executor
-.ParallelExecutor` ships it to worker processes, which adopt the arrays
-instead of re-running the O(n log n) bulk load.
+The frontier visits exactly the node set a node-by-node traversal visits
+(the root unconditionally, then every child whose MBR crosses a window),
+and records each visit in :class:`AccessStats`; the test suite checks
+both against a pointer-tree reference.
 """
 
 from __future__ import annotations
 
-from typing import Any, Iterator, List, Optional, Sequence, Tuple
+import math
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.geometry.rectangle import Rect
-from repro.index.rtree import RTree
 from repro.index.stats import AccessStats
 from repro.obs import span as _span
+
+DEFAULT_PAGE_SIZE = 4096
+_POINTER_BYTES = 8
+_COORD_BYTES = 8
 
 #: Windows (padding slots included) per grouped-traversal block: groups are
 #: processed in blocks so the (windows, frontier) intersection scratch
@@ -54,6 +57,12 @@ GROUP_WINDOW_CHUNK = 512
 _INTERSECT_SCRATCH_ELEMENTS = 1 << 18
 
 
+def fanout_for_page(page_size: int, dims: int) -> int:
+    """Entries per node for a given page size (two corners + one pointer each)."""
+    entry_bytes = 2 * dims * _COORD_BYTES + _POINTER_BYTES
+    return max(4, page_size // entry_bytes)
+
+
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Concatenated ``arange(s, s + c)`` for every ``(start, count)`` pair."""
     counts = np.asarray(counts, dtype=np.intp)
@@ -64,6 +73,59 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     ends = np.cumsum(counts)
     offsets = np.arange(total, dtype=np.intp) - np.repeat(ends - counts, counts)
     return np.repeat(starts, counts) + offsets
+
+
+def _str_pages(
+    centers: np.ndarray, capacity: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Sort-Tile-Recursive packing of items with the given ``(m, d)`` centers.
+
+    Returns ``(order, starts)``: page ``k`` holds the items
+    ``order[starts[k]:starts[k + 1]]`` (the last page runs to the end).
+    A run of more than *capacity* items is stably sorted on the current
+    dimension and cut into ``ceil(pages ** (1 / dims left))`` slabs of
+    equal size, each tiled again on the next dimension; the last
+    dimension is cut straight into pages of *capacity*.  A run that fits
+    one page stays as it is.  Every open run of one dimension is sorted
+    by a single ``lexsort`` keyed on (run, center), and pages come out in
+    the depth-first order of the recursive formulation.
+    """
+    m, dims = centers.shape
+    order = np.arange(m, dtype=np.intp)
+    done: List[np.ndarray] = []
+    starts = np.zeros(1, dtype=np.intp)
+    sizes = np.full(1, m, dtype=np.intp)
+    for axis in range(dims):
+        fits = sizes <= capacity
+        done.append(starts[fits])
+        starts, sizes = starts[~fits], sizes[~fits]
+        if starts.size == 0:
+            break
+        span = _ranges(starts, sizes)
+        run = np.repeat(np.arange(starts.size), sizes)
+        items = order[span]
+        order[span] = items[np.lexsort((centers[items, axis], run))]
+        if axis == dims - 1:
+            step = np.full(starts.size, capacity, dtype=np.intp)
+        else:
+            step = np.array(
+                [
+                    math.ceil(size / math.ceil(
+                        math.ceil(size / capacity) ** (1.0 / (dims - axis))
+                    ))
+                    for size in sizes.tolist()
+                ],
+                dtype=np.intp,
+            )
+        pieces = -(-sizes // step)
+        step = np.repeat(step, pieces)
+        cut = np.repeat(starts, pieces) + step * _ranges(
+            np.zeros_like(pieces), pieces
+        )
+        sizes = np.minimum(step, np.repeat(starts + sizes, pieces) - cut)
+        starts = cut
+    done.append(starts)
+    return order, np.sort(np.concatenate(done))
 
 
 def _stack_windows(
@@ -111,26 +173,13 @@ def group_blocks(n_groups: int, width: int) -> Iterator[Tuple[int, int]]:
         yield start, min(start + per_block, n_groups)
 
 
-def _split_groups(
-    groups: np.ndarray, entries: np.ndarray, n_groups: int
-) -> List[List[int]]:
-    """Per-group entry lists from group-sorted ``(group, entry)`` hits."""
-    bounds = np.searchsorted(groups, np.arange(n_groups + 1)).tolist()
-    flat = entries.tolist()
-    return [flat[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
-
-
 class PackedRTree:
-    """Immutable array-backed snapshot of one :class:`RTree`.
+    """Immutable array-backed R-tree over the rows of ``(n, d)`` box arrays.
 
-    Build via :meth:`from_rtree` (or ``tree.freeze()``); query via the
-    same ``range_search`` / ``range_search_any`` family the pointer tree
-    exposes, plus the batched multi-window kernels ``range_search_many``
-    and ``range_search_any_grouped``.  Hit *sets* and access accounting
-    are identical to the pointer tree; ``range_search_any`` additionally
-    shares its canonical (unique, ``repr``-sorted) result order.  All of
-    them run on :meth:`group_hits`, which answers array-shaped window
-    groups with entry indices instead of payloads.
+    Build via :meth:`build`; query via :meth:`range_search` (one window),
+    :meth:`range_search_many` (one answer per window) and
+    :meth:`group_hits` (array-shaped window groups, the batched filter).
+    Every answer is input rows.
     """
 
     __slots__ = (
@@ -146,7 +195,7 @@ class PackedRTree:
         "entry_count",
         "entry_lo",
         "entry_hi",
-        "payloads",
+        "rows",
         "stats",
     )
 
@@ -154,92 +203,99 @@ class PackedRTree:
     # construction
     # ------------------------------------------------------------------
     @classmethod
-    def from_rtree(
-        cls, tree: RTree, stats: Optional[AccessStats] = None
+    def build(
+        cls,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        page_size: int = DEFAULT_PAGE_SIZE,
+        stats: Optional[AccessStats] = None,
     ) -> "PackedRTree":
-        """Freeze *tree* into a packed snapshot (one O(n) array pass).
+        """STR-pack the boxes ``lo[i] .. hi[i]``, one leaf entry per row.
 
-        *stats* shares an existing access counter (the dataset-level one)
-        so pointer and packed traversals accumulate into the same I/O
-        metric; omitted, the snapshot gets a private counter.
+        Leaves are packed from the box centers, then each level of nodes
+        from its node-MBR centers, with the fanout of *page_size*, until
+        one node is left: the root.  *stats* shares an existing access
+        counter (the dataset-level one); omitted, the index gets a
+        private counter.
         """
-        levels: List[List] = [[tree.root]]
-        while not levels[-1][0].is_leaf:
-            levels.append(
-                [child for node in levels[-1] for child in node.children]
-            )
-        nodes = [node for level in levels for node in level]
-        n = len(nodes)
-        dims = tree.dims
+        lo = np.asarray(lo, dtype=np.float64)
+        hi = np.asarray(hi, dtype=np.float64)
+        n, dims = lo.shape
+        capacity = fanout_for_page(page_size, dims)
+
+        # Bottom-up: each packing groups one level's items into pages.
+        packings: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        page_bounds: List[Tuple[np.ndarray, np.ndarray]] = []
+        item_lo, item_hi = lo, hi
+        while True:
+            order, starts = _str_pages((item_lo + item_hi) / 2.0, capacity)
+            counts = np.diff(starts, append=order.size)
+            packings.append((order, starts, counts))
+            if order.size:
+                item_lo = np.minimum.reduceat(item_lo[order], starts, axis=0)
+                item_hi = np.maximum.reduceat(item_hi[order], starts, axis=0)
+            else:  # no boxes: one empty leaf no window can intersect
+                item_lo = np.full((1, dims), np.inf)
+                item_hi = np.full((1, dims), -np.inf)
+            page_bounds.append((item_lo, item_hi))
+            if starts.size == 1:
+                break
+
+        # Top-down: number the pages in BFS order, root first.  The
+        # children of a level, in BFS order, are its pages' items in page
+        # order, so each level's BFS ids follow from the one above.
+        node_lo: List[np.ndarray] = []
+        node_hi: List[np.ndarray] = []
+        child_start: List[np.ndarray] = []
+        child_count: List[np.ndarray] = []
+        level = np.zeros(1, dtype=np.intp)  # page ids of one level, BFS order
+        offset = 0  # BFS id of the level's first node
+        for depth in range(len(packings) - 1, -1, -1):
+            order, starts, counts = packings[depth]
+            node_lo.append(page_bounds[depth][0][level])
+            node_hi.append(page_bounds[depth][1][level])
+            below = counts[level]
+            child_start.append(offset + level.size + np.cumsum(below) - below)
+            child_count.append(below)
+            offset += level.size
+            level = order[_ranges(starts[level], below)]
+        # The last level's "children" are its leaf entries: entry ranges
+        # start at 0, and ``level`` now lists the entries' input rows.
+        leaves = child_count[-1].size
+        child_start[-1] -= offset
+        internal = np.zeros(offset - leaves, dtype=np.intp)
+        no_children = np.zeros(leaves, dtype=np.intp)
 
         packed = cls.__new__(cls)
         packed.dims = dims
-        packed.size = tree.size
-        packed.height = len(levels)
-        packed.leaf_start = n - len(levels[-1])
+        packed.size = n
+        packed.height = len(packings)
+        packed.leaf_start = offset - leaves
+        packed.node_lo = np.concatenate(node_lo)
+        packed.node_hi = np.concatenate(node_hi)
+        packed.child_start = np.concatenate(child_start[:-1] + [no_children])
+        packed.child_count = np.concatenate(child_count[:-1] + [no_children])
+        packed.entry_start = np.concatenate([internal, child_start[-1]])
+        packed.entry_count = np.concatenate([internal, child_count[-1]])
+        packed.rows = level
+        packed.entry_lo = lo[level]
+        packed.entry_hi = hi[level]
+        for slot in cls.__slots__:
+            value = getattr(packed, slot, None)
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
         packed.stats = stats if stats is not None else AccessStats()
-
-        # An MBR-less node (only the root of an empty tree) gets inverted
-        # infinite bounds so no window can ever intersect it.
-        node_lo = np.full((n, dims), np.inf, dtype=np.float64)
-        node_hi = np.full((n, dims), -np.inf, dtype=np.float64)
-        child_start = np.zeros(n, dtype=np.intp)
-        child_count = np.zeros(n, dtype=np.intp)
-        entry_start = np.zeros(n, dtype=np.intp)
-        entry_count = np.zeros(n, dtype=np.intp)
-        lo_parts: List[np.ndarray] = []
-        hi_parts: List[np.ndarray] = []
-        payloads: List[Any] = []
-
-        next_child = 1  # BFS numbering: children fill the array in order
-        entry_cursor = 0
-        for i, node in enumerate(nodes):
-            if node.mbr is not None:
-                node_lo[i] = node.mbr.lo
-                node_hi[i] = node.mbr.hi
-            if node.is_leaf:
-                entry_start[i] = entry_cursor
-                entry_count[i] = len(node.entries)
-                entry_cursor += len(node.entries)
-                for rect, payload in node.entries:
-                    lo_parts.append(rect.lo)
-                    hi_parts.append(rect.hi)
-                    payloads.append(payload)
-            else:
-                child_start[i] = next_child
-                child_count[i] = len(node.children)
-                next_child += len(node.children)
-
-        if payloads:
-            # concatenate + reshape: a quarter of np.stack's per-part cost
-            entry_lo = np.concatenate(lo_parts).reshape(-1, dims)
-            entry_hi = np.concatenate(hi_parts).reshape(-1, dims)
-        else:
-            entry_lo = np.empty((0, dims), dtype=np.float64)
-            entry_hi = np.empty((0, dims), dtype=np.float64)
-        for array in (node_lo, node_hi, child_start, child_count,
-                      entry_start, entry_count, entry_lo, entry_hi):
-            array.flags.writeable = False
-        packed.node_lo = node_lo
-        packed.node_hi = node_hi
-        packed.child_start = child_start
-        packed.child_count = child_count
-        packed.entry_start = entry_start
-        packed.entry_count = entry_count
-        packed.entry_lo = entry_lo
-        packed.entry_hi = entry_hi
-        packed.payloads = payloads
         return packed
 
     def with_stats(self, stats: Optional[AccessStats] = None) -> "PackedRTree":
         """An O(1) view over the same frozen arrays with its own counter.
 
-        Every array (and the payload table) is shared by reference; only
-        the :class:`AccessStats` instance differs, so many concurrent
-        readers of one snapshot can each measure their own per-query
-        node-access deltas without interleaving — this is what keeps
-        causality ``stats.node_accesses`` deterministic when the serve
-        layer fans one published snapshot out to parallel requests.
+        Every array is shared by reference; only the :class:`AccessStats`
+        instance differs, so many concurrent readers of one snapshot can
+        each measure their own per-query node-access deltas without
+        interleaving — this is what keeps causality
+        ``stats.node_accesses`` deterministic when the serve layer fans
+        one published snapshot out to parallel requests.
         """
         view = PackedRTree.__new__(PackedRTree)
         for slot in self.__slots__:
@@ -265,32 +321,14 @@ class PackedRTree:
         )
 
     # ------------------------------------------------------------------
-    # pickling (worker handoff): ship arrays, never the stats counter
-    # ------------------------------------------------------------------
-    def __getstate__(self) -> dict:
-        return {slot: getattr(self, slot) for slot in self.__slots__
-                if slot != "stats"}
-
-    def __setstate__(self, state: dict) -> None:
-        for slot, value in state.items():
-            setattr(self, slot, value)
-        self.stats = AccessStats()
-        # pickle restores fresh writable arrays; re-freeze so a worker's
-        # copy keeps the same immutability contract as the original
-        for slot, value in state.items():
-            if isinstance(value, np.ndarray):
-                value.flags.writeable = False
-
-    # ------------------------------------------------------------------
     # traversal kernels
     # ------------------------------------------------------------------
     def _leaf_frontier(self, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
         """Visited leaves for one window, recording every node visit.
 
-        Level frontier: the root is visited unconditionally (as the
-        pointer traversal does), then exactly the children whose MBR
-        intersects the window — the same closed-interval comparisons
-        ``Rect.intersects`` performs, so the visit set is bit-identical.
+        Level frontier: the root is visited unconditionally, then exactly
+        the children whose MBR intersects the window — the same
+        closed-interval comparisons ``Rect.intersects`` performs.
         """
         active = np.zeros(1, dtype=np.intp)
         for _ in range(self.height - 1):
@@ -307,83 +345,34 @@ class PackedRTree:
         self.stats.leaf_accesses += int(active.size)
         return active
 
-    def range_hits(self, window: Rect) -> np.ndarray:
-        """Entry indices intersecting *window* (ascending entry order)."""
-        self.stats.record_query()
-        leaves = self._leaf_frontier(window.lo, window.hi)
-        eidx = _ranges(self.entry_start[leaves], self.entry_count[leaves])
-        if eidx.size == 0:
-            return eidx
-        keep = np.logical_and(
-            (window.lo <= self.entry_hi[eidx]).all(axis=1),
-            (self.entry_lo[eidx] <= window.hi).all(axis=1),
-        )
-        return eidx[keep]
-
-    def range_search(self, window: Rect) -> List[Any]:
-        """Payloads of all entries intersecting *window*.
-
-        Same hit set and access accounting as ``RTree.range_search``;
-        payloads come back in (deterministic) packed entry order.
-        """
+    def range_search(self, window: Rect) -> np.ndarray:
+        """Rows of all entries intersecting *window*, in entry order."""
         with _span("index-search", kernel="packed", windows=1) as sp:
-            hits = [self.payloads[i] for i in self.range_hits(window)]
-            sp.set(hits=len(hits))
+            self.stats.record_query()
+            leaves = self._leaf_frontier(window.lo, window.hi)
+            eidx = _ranges(self.entry_start[leaves], self.entry_count[leaves])
+            keep = np.logical_and(
+                (window.lo <= self.entry_hi[eidx]).all(axis=1),
+                (self.entry_lo[eidx] <= window.hi).all(axis=1),
+            )
+            hits = self.rows[eidx[keep]]
+            sp.set(hits=int(hits.size))
             return hits
 
-    def range_search_any(self, windows: Sequence[Rect]) -> List[Any]:
-        """Unique payloads intersecting *any* window, canonically ordered.
+    def range_search_many(self, windows: Sequence[Rect]) -> List[np.ndarray]:
+        """Per-window row arrays for W windows in one batched pass.
 
-        Matches ``RTree.range_search_any`` exactly: the multi-rectangle
-        branch-and-bound scan of Algorithm 1 (each node read once no
-        matter how many rectangles it crosses), returning unique payloads
-        sorted by ``repr`` so no traversal order can leak downstream.
-        """
-        windows = list(windows)
-        with _span("index-search", kernel="packed-any", windows=len(windows)):
-            return self.range_search_any_grouped([windows])[0]
-
-    def range_search_many(
-        self, windows: Sequence[Rect]
-    ) -> List[List[Any]]:
-        """Per-window payload lists for W windows in one batched pass.
-
-        Semantically (hit sets *and* access accounting) identical to
-        calling ``range_search`` once per window; each list comes back in
-        packed entry order.
+        Hit sets and access accounting are those of one
+        :meth:`range_search` per window; each array is in entry order.
         """
         windows = list(windows)
         with _span("index-search", kernel="packed-many", windows=len(windows)):
             lo, hi = _stack_windows(windows, self.dims)
-            groups, entries = self.group_hits(
+            groups, rows = self.group_hits(
                 lo[:, np.newaxis, :], hi[:, np.newaxis, :]
             )
-            return [
-                [self.payloads[i] for i in part]
-                for part in _split_groups(groups, entries, len(windows))
-            ]
-
-    def range_search_any_grouped(
-        self, groups: Sequence[Sequence[Rect]]
-    ) -> List[List[Any]]:
-        """One ``range_search_any`` answer per window group, in one pass.
-
-        Semantically (hit sets, canonical order, *and* access accounting)
-        identical to calling ``range_search_any`` once per group.  The
-        PRSQ evaluation skips the payloads altogether and asks for
-        :meth:`group_hits` instead.
-        """
-        groups = [list(group) for group in groups]
-        with _span(
-            "index-search", kernel="packed-grouped", groups=len(groups)
-        ):
-            hit_groups, entries = self.group_hits(
-                *pack_window_groups(groups, self.dims)
-            )
-            return [
-                sorted(dict.fromkeys(self.payloads[i] for i in part), key=repr)
-                for part in _split_groups(hit_groups, entries, len(groups))
-            ]
+            bounds = np.searchsorted(groups, np.arange(1, len(windows)))
+            return np.split(rows, bounds) if windows else []
 
     # ------------------------------------------------------------------
     # grouped traversal core
@@ -391,38 +380,39 @@ class PackedRTree:
     def group_hits(
         self, lo: np.ndarray, hi: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Every ``(group, entry)`` hit of a batch of window groups.
+        """Every ``(group, row)`` hit of a batch of window groups.
 
         *lo* / *hi* are ``(G, K, d)`` bounds: group ``g`` is the windows
         ``lo[g, k] .. hi[g, k]``, NaN slots being padding (see
         :func:`pack_window_groups`).  Returns two parallel index arrays
-        ``(groups, entries)``, sorted by group and then by entry: entry
-        ``e`` crosses some window of group ``g``.
+        ``(groups, rows)``, sorted by group and then by entry: the entry
+        of input row ``r`` crosses some window of group ``g``.
 
-        Hit sets and access accounting are those of one
-        ``range_search_any`` per group.  A node is visited *for group g*
-        iff its parent was and its MBR crosses one of g's windows (the
-        root unconditionally), exactly the pointer traversal's per-group
-        visit set, so summing the incidence matrix reproduces the node
-        accesses a Python loop over the groups would record, while every
-        level is a few elementwise comparisons over windows × frontier.
+        Hit sets and access accounting are those of the multi-rectangle
+        branch-and-bound scan of Algorithm 1 run once per group (each
+        node read once per group, however many of its windows it
+        crosses).  A node is visited *for group g* iff its parent was and
+        its MBR crosses one of g's windows (the root unconditionally), so
+        summing the incidence matrix reproduces the node accesses a loop
+        over the groups would record, while every level is a few
+        elementwise comparisons over windows × frontier.
         """
         n_groups, width = lo.shape[0], lo.shape[1]
         self.stats.queries += n_groups
         groups: List[np.ndarray] = [np.empty(0, dtype=np.intp)]
-        entries: List[np.ndarray] = [np.empty(0, dtype=np.intp)]
+        rows: List[np.ndarray] = [np.empty(0, dtype=np.intp)]
         for start, stop in group_blocks(n_groups, width):
             block_groups, block_entries = self._block_hits(
                 lo[start:stop], hi[start:stop]
             )
             groups.append(block_groups + start)
-            entries.append(block_entries)
-        return np.concatenate(groups), np.concatenate(entries)
+            rows.append(self.rows[block_entries])
+        return np.concatenate(groups), np.concatenate(rows)
 
     def _block_hits(
         self, lo: np.ndarray, hi: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """:meth:`group_hits` for one block of groups."""
+        """``(group, entry index)`` hits of one block of groups."""
         n_groups = lo.shape[0]
         wlo = lo.reshape(-1, self.dims)
         whi = hi.reshape(-1, self.dims)

@@ -468,7 +468,7 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     )
     # With a parallel executor the workers build their own sessions (and
     # indexes); the parent session only validates specs, so skip its eager
-    # bulk load — the R-tree is still built lazily if a serial fallback runs.
+    # index build — the R-tree is still built lazily if a serial fallback runs.
     client = Client(
         Session(
             dataset,

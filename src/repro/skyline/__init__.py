@@ -1,6 +1,5 @@
-"""Skyline operators: classic, dynamic, reverse, BBS, k-skyband, bichromatic."""
+"""Skyline operators: classic, dynamic, reverse, k-skyband, bichromatic."""
 
-from repro.skyline.bbs import dynamic_skyline_bbs, skyline_bbs
 from repro.skyline.bichromatic import (
     bichromatic_reverse_skyline,
     compute_causality_bichromatic,
@@ -26,7 +25,6 @@ __all__ = [
     "compute_causality_bichromatic",
     "compute_causality_k_skyband",
     "dominators_of_query",
-    "dynamic_skyline_bbs",
     "dynamic_skyline_indices",
     "is_reverse_k_skyband",
     "is_reverse_skyline",
@@ -37,7 +35,6 @@ __all__ = [
     "reverse_k_skyband",
     "reverse_skyline",
     "reverse_skyline_bruteforce",
-    "skyline_bbs",
     "skyline_indices",
     "skyline_points",
 ]

@@ -67,8 +67,8 @@ def bichromatic_reverse_skyline(
     members: List[Hashable] = []
     for customer, center, hits in zip(customers, centers, hits_per):
         if not any(
-            dynamically_dominates(products.point_of(hit), qq, center)
-            for hit in hits
+            dynamically_dominates(products.points[row], qq, center)
+            for row in hits.tolist()
         ):
             members.append(customer.oid)
     return members

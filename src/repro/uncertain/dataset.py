@@ -2,21 +2,22 @@
 
 The R-tree indexes one entry per object: its sample MBR (uncertain) or its
 point (certain), exactly as the paper assumes when algorithm CP traverses
-``R_P`` in a branch-and-bound manner.
+``R_P`` in a branch-and-bound manner.  It is a
+:class:`~repro.index.packed.PackedRTree` STR-packed from the boxes of the
+dataset's tensor (:meth:`DatasetTensor.boxes`), built on first use, and
+it answers in dataset positions.
 
 Datasets are **live**: :meth:`UncertainDataset.insert_object`,
 :meth:`~UncertainDataset.delete_object`, :meth:`~UncertainDataset.
 update_object` and :meth:`~UncertainDataset.apply_delta` change the
-contents in place while every derived structure is patched incrementally —
-the R-tree through its own ``insert``/``delete`` (only if it was already
-built), the cached :class:`DatasetTensor` by row, and the content digest
-by re-combining cached per-object digests — so a single-object change
-costs O(changed) hashing/kernel work instead of the O(n) full rebuild that
-:meth:`repro.engine.session.Session.replace_dataset` pays.  The packed
-R-tree snapshot (:attr:`UncertainDataset.packed`) is the one derived
-structure that is *invalidated* instead of patched: the next access
-re-freezes it from the already-patched pointer tree in one O(n) array
-pass.
+contents in place while the cached :class:`DatasetTensor` is patched by
+row and the content digest is re-combined from cached per-object
+digests, so a single-object change costs O(changed) hashing/kernel work
+instead of the O(n) full rebuild that
+:meth:`repro.engine.session.Session.replace_dataset` pays.  The index is
+the one derived structure that is *invalidated* instead of patched: the
+next access packs it afresh from the patched tensor's boxes, so it
+depends only on the contents, never on the order of past writes.
 """
 
 from __future__ import annotations
@@ -38,9 +39,12 @@ import numpy as np
 from repro.exceptions import EmptyDatasetError
 from repro.geometry.point import PointLike, as_point_matrix
 from repro.geometry.rectangle import Rect
-from repro.index.bulk import bulk_load
-from repro.index.packed import PackedRTree, group_blocks, pack_window_groups
-from repro.index.rtree import DEFAULT_PAGE_SIZE, RTree
+from repro.index.packed import (
+    DEFAULT_PAGE_SIZE,
+    PackedRTree,
+    group_blocks,
+    pack_window_groups,
+)
 from repro.index.stats import AccessStats
 from repro.uncertain.delta import DatasetDelta
 from repro.uncertain.object import UncertainObject
@@ -74,7 +78,6 @@ class UncertainDataset:
         }
         self.dims = dims
         self.page_size = page_size
-        self._rtree: Optional[RTree] = None
         self._packed: Optional[PackedRTree] = None
         self._access_stats = AccessStats()
         self._tensor: Optional[DatasetTensor] = None
@@ -83,53 +86,26 @@ class UncertainDataset:
     # ------------------------------------------------------------------
     @property
     def access_stats(self) -> AccessStats:
-        """Node-access counters shared by the pointer tree *and* the packed
-        snapshot, so the paper's I/O metric accumulates in one place no
-        matter which structure a traversal read."""
+        """Node-access counters of :attr:`packed`, the paper's I/O metric.
+
+        Owned by the dataset, so the count accumulates in one place across
+        index rebuilds."""
         return self._access_stats
 
     @property
-    def rtree(self) -> RTree:
-        """R-tree over object MBRs, bulk-loaded on first use."""
-        if self._rtree is None:
-            self._rtree = bulk_load(
-                [(obj.mbr, obj.oid) for obj in self._objects],
-                dims=self.dims,
-                page_size=self.page_size,
-            )
-            self._rtree.stats = self._access_stats
-        return self._rtree
-
-    @property
     def packed(self) -> PackedRTree:
-        """Packed (array-backed) snapshot of :attr:`rtree`, frozen lazily.
+        """The R-tree over the objects' MBRs, addressed by dataset position.
 
-        Invalidated by every live update — the next access re-freezes from
-        the incrementally patched pointer tree in one O(n) array pass (no
-        O(n log n) rebuild).  Shares :attr:`access_stats`.
-        """
-        if self._packed is None:
-            self._packed = PackedRTree.from_rtree(
-                self.rtree, stats=self._access_stats
-            )
-        return self._packed
-
-    def adopt_packed(self, packed: PackedRTree) -> None:
-        """Install a pre-built packed snapshot (the worker array handoff).
-
-        Used by :class:`~repro.engine.executor.ParallelExecutor` workers,
-        which receive the parent's frozen arrays instead of re-running the
-        bulk load.  The snapshot is re-pointed at this dataset's
+        STR-packed from :attr:`tensor`'s boxes on first use; every live
+        update invalidates it and the next access packs it afresh.  Shares
         :attr:`access_stats`.
         """
-        if packed.size != len(self._objects) or packed.dims != self.dims:
-            raise ValueError(
-                f"packed snapshot ({packed.size} entries, {packed.dims} dims)"
-                f" does not match dataset ({len(self._objects)} objects, "
-                f"{self.dims} dims)"
+        if self._packed is None:
+            lo, hi, _sums_to_one = self.tensor.boxes()
+            self._packed = PackedRTree.build(
+                lo, hi, self.page_size, stats=self._access_stats
             )
-        packed.stats = self._access_stats
-        self._packed = packed
+        return self._packed
 
     @property
     def tensor(self) -> DatasetTensor:
@@ -168,29 +144,22 @@ class UncertainDataset:
         (the center of Eq. (2)'s ``P − {u}``).
 
         Ascending positions are the canonical Eq. (2) product order the
-        bit-parity contracts depend on.  The packed index answers in
-        entry indices: a batch maps them to positions through a table of
-        every entry's position, a lone group (a one-object filter) maps
-        only its own hits.  Per block of groups the index traverses
-        together (:func:`~repro.index.packed.group_blocks`), one sort of
-        ``(group, position)`` keys then orders every group of the block,
-        so the scratch is one block's hits.
+        bit-parity contracts depend on.  The index answers in positions;
+        per block of groups it traverses together
+        (:func:`~repro.index.packed.group_blocks`), one sort of
+        ``(group, position)`` keys orders every group of the block, so
+        the scratch is one block's hits.
         """
         index = self.packed
         n_groups, n = lo.shape[0], len(self._objects)
-        table = self._positions(index.payloads) if n_groups > 1 else None
         if exclude is not None:
             exclude = np.asarray(exclude, dtype=np.intp)
         counts: List[np.ndarray] = [np.zeros(1, dtype=np.intp)]
         rows: List[np.ndarray] = [np.empty(0, dtype=np.intp)]
         for start, stop in group_blocks(n_groups, lo.shape[1]):
-            groups, entries = index.group_hits(lo[start:stop], hi[start:stop])
-            if table is None:
-                positions = self._positions(
-                    [index.payloads[e] for e in entries.tolist()]
-                )
-            else:
-                positions = table[entries]
+            groups, positions = index.group_hits(
+                lo[start:stop], hi[start:stop]
+            )
             if exclude is not None:
                 keep = positions != exclude[start:stop][groups]
                 groups, positions = groups[keep], positions[keep]
@@ -212,14 +181,6 @@ class UncertainDataset:
         lo, hi = pack_window_groups([list(windows)], self.dims)
         centers = None if exclude is None else [exclude]
         return self.relevance_sets(lo, hi, exclude=centers)[1]
-
-    def _positions(self, oids: Sequence[Hashable]) -> np.ndarray:
-        """Dataset positions of index payloads (object ids), in order."""
-        return np.fromiter(
-            (self._index_of[oid] for oid in oids),
-            dtype=np.intp,
-            count=len(oids),
-        )
 
     def content_digest(self) -> str:
         """Content hash: type, dims, and every object's cached digest.
@@ -243,7 +204,7 @@ class UncertainDataset:
         return self._content_digest
 
     # ------------------------------------------------------------------
-    # live updates (incremental: R-tree, tensor, digest all patched)
+    # live updates (incremental: tensor and digest patched, index rebuilt)
     # ------------------------------------------------------------------
     def _check_new_object(self, obj: UncertainObject) -> None:
         if not isinstance(obj, UncertainObject):
@@ -292,20 +253,14 @@ class UncertainDataset:
         for offset, obj in enumerate(objects):
             self._by_id[obj.oid] = obj
             self._index_of[obj.oid] = base + offset
-        if self._rtree is not None:
-            for obj in objects:
-                self._rtree.insert(obj.mbr, obj.oid)
         if self._tensor is not None:
             self._tensor = self._tensor.with_inserted_rows(objects)
-        self._packed = None  # re-frozen lazily from the patched tree
+        self._packed = None  # packed afresh on next use
         self._content_digest = None
 
     def _delete_many(self, oids: Sequence[Hashable]) -> List[int]:
         """Remove *oids* in one pass; returns their (old) sorted positions."""
         positions = sorted(self._index_of[oid] for oid in oids)
-        if self._rtree is not None:
-            for oid in oids:
-                self._rtree.delete(self._by_id[oid].mbr, oid)
         if self._tensor is not None:
             self._tensor = self._tensor.with_deleted_rows(positions)
         removed = set(oids)
@@ -323,12 +278,8 @@ class UncertainDataset:
         replacements = []
         for obj in objects:
             position = self._index_of[obj.oid]
-            old = self._objects[position]
             self._objects[position] = obj
             self._by_id[obj.oid] = obj
-            if self._rtree is not None:
-                self._rtree.delete(old.mbr, obj.oid)
-                self._rtree.insert(obj.mbr, obj.oid)
             replacements.append((position, obj))
         if self._tensor is not None:
             self._tensor = self._tensor.with_replaced_rows(replacements)
@@ -464,7 +415,6 @@ class UncertainDataset:
         clone._index_of = index_of
         clone.dims = self.dims
         clone.page_size = self.page_size
-        clone._rtree = None
         clone._packed = None
         clone._access_stats = AccessStats()
         clone._tensor = None
@@ -479,16 +429,15 @@ class UncertainDataset:
         arrays, the combined content digest — but owns fresh id maps and
         access counters, so :meth:`apply_delta` on *this* dataset can
         never be observed by a query already running against the snapshot.
-        Cost is O(n) pointer copies plus one O(n) re-freeze of the packed
-        index from the incrementally patched pointer tree; no O(n log n)
-        rebuild and no sample bytes move.
+        Cost is O(n) pointer copies plus, after a write, one STR pack of
+        the index from the patched tensor's boxes; no sample bytes move.
         """
         clone = self._clone_shell(
             list(self._objects), dict(self._by_id), dict(self._index_of)
         )
+        clone._packed = self.packed.with_stats(clone._access_stats)
         clone._tensor = self._tensor
         clone._content_digest = self.content_digest()
-        clone._packed = self.packed.with_stats(clone._access_stats)
         return clone
 
     def view(self) -> "UncertainDataset":

@@ -3,8 +3,8 @@
 A :class:`DatasetDelta` records what changes — which objects to delete,
 replace, and insert — without saying how the change is carried out.
 :meth:`repro.uncertain.dataset.UncertainDataset.apply_delta` applies one
-incrementally (patching the R-tree, the cached tensor, and the cached
-content digest in O(changed) work), and
+incrementally (patching the cached tensor and the cached content digest
+in O(changed) work, and dropping the R-tree for a rebuild), and
 :meth:`repro.engine.session.Session.apply` layers version bumps and cache
 invalidation on top.  The engine's :class:`~repro.engine.spec.UpdateSpec`
 is the wire form of the same record.

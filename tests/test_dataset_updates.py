@@ -1,7 +1,7 @@
 """Live dataset updates: incremental mutation of every derived structure.
 
 The invariant under test everywhere: a dataset mutated in place must be
-indistinguishable — fingerprint, R-tree contents, tensor bits, ``points``
+indistinguishable — fingerprint, R-tree arrays, tensor bits, ``points``
 matrix — from a fresh dataset built over the same final contents.
 """
 
@@ -24,6 +24,8 @@ from repro.geometry.rectangle import Rect
 from repro.uncertain import CertainDataset, UncertainDataset, UncertainObject
 from repro.uncertain.pdf import UniformBoxObject
 from repro.uncertain.tensor import DatasetTensor
+
+from tests.reference import rtree as reference_rtree
 
 
 def obj(oid, rows, probabilities=None, name=None):
@@ -79,17 +81,30 @@ def assert_matches_fresh(dataset):
         )
     assert dataset.content_digest() == rebuilt.content_digest()
     assert_tensor_equivalent(dataset)
-    if dataset._rtree is not None:
-        dataset.rtree.validate(allow_underfull=True)
-        assert sorted(dataset.rtree.all_payloads(), key=repr) == sorted(
-            dataset.ids(), key=repr
-        )
+    assert_index_matches_fresh(dataset, rebuilt)
+
+
+def assert_index_matches_fresh(dataset, rebuilt):
+    """The index equals a fresh build's, and the reference tree's hits."""
+    assert reference_rtree.same_layout(
+        reference_rtree.layout(dataset.packed),
+        reference_rtree.layout(rebuilt.packed),
+    )
+    tree = reference_rtree.dataset_tree(dataset)
+    windows = (Rect([0.0, 0.0], [4.0, 4.0]), Rect([5.0, 0.0], [20.0, 20.0]))
+    for window in windows:
+        with dataset.access_stats.measure() as got:
+            hits = dataset.packed.range_search(window)
+        with tree.stats.measure() as want:
+            expected = reference_rtree.range_search(tree, window)
+        assert sorted(hits.tolist()) == expected
+        assert got.node_accesses == want.node_accesses
 
 
 class TestUncertainMutations:
     def test_insert_patches_everything(self):
         ds = small_dataset()
-        ds.rtree, ds.tensor  # force both caches so they must be patched
+        ds.packed, ds.tensor  # force both caches: patched or rebuilt
         ds.insert_object(obj("d", [[9.0, 9.0]]))
         assert ds.ids() == ["a", "b", "c", "d"]
         assert ds.index_of("d") == 3 and "d" in ds
@@ -105,7 +120,7 @@ class TestUncertainMutations:
 
     def test_delete_patches_everything(self):
         ds = small_dataset()
-        ds.rtree, ds.tensor
+        ds.packed, ds.tensor
         removed = ds.delete_object("b")
         assert removed.oid == "b" and "b" not in ds
         assert ds.ids() == ["a", "c"]
@@ -116,7 +131,7 @@ class TestUncertainMutations:
 
     def test_update_keeps_position(self):
         ds = small_dataset()
-        ds.rtree, ds.tensor
+        ds.packed, ds.tensor
         old = ds.update_object(obj("b", [[8.0, 8.0], [8.5, 8.5]]))
         assert old.samples[0, 0] == 3.0
         assert ds.ids() == ["a", "b", "c"]  # order unchanged
@@ -127,7 +142,7 @@ class TestUncertainMutations:
         ds = small_dataset()
         ds.insert_object(obj("d", [[9.0, 9.0]]))
         ds.delete_object("a")
-        assert ds._rtree is None and ds._tensor is None
+        assert ds._packed is None and ds._tensor is None
         assert_matches_fresh(ds)
 
     def test_mutation_errors(self):
@@ -201,7 +216,7 @@ class TestDatasetDelta:
         ds = UncertainDataset(
             [obj(f"o{i}", [[float(i), float(i)]]) for i in range(8)]
         )
-        ds.rtree, ds.tensor
+        ds.packed, ds.tensor
         ds.apply_delta(
             DatasetDelta(
                 deletes=("o1", "o4", "o6"),
@@ -251,7 +266,7 @@ class TestCertainMutations:
 
     def test_points_matrix_kept_in_sync(self):
         ds = self._ds()
-        ds.rtree, ds.tensor
+        ds.packed, ds.tensor
         ds.insert_object(UncertainObject.certain("w", [7.0, 8.0]))
         ds.delete_object("y")
         ds.update_object(UncertainObject.certain("z", [5.5, 6.5]))
@@ -336,8 +351,8 @@ class TestSessionApply:
     def test_apply_honors_lazy_index(self):
         session = Session(small_dataset(), build_index=False)
         session.apply(DatasetDelta.insertion(obj("d", [[9.0, 9.0]])))
-        assert session.dataset._rtree is None  # still lazy
-        session.dataset.rtree.validate(allow_underfull=True)
+        assert session.dataset._packed is None  # still lazy
+        assert_matches_fresh(session.dataset)
 
     def test_apply_rejects_pdf_sessions(self):
         session = Session.from_pdf_objects(
@@ -396,11 +411,11 @@ class TestReplaceDataset:
         lazy = Session(small_dataset(), build_index=False)
         replacement = small_dataset()
         lazy.replace_dataset(replacement)
-        assert replacement._rtree is None  # no eager bulk load
+        assert replacement._packed is None  # no eager index build
         eager = Session(small_dataset(), build_index=True)
         replacement2 = small_dataset()
         eager.replace_dataset(replacement2)
-        assert replacement2._rtree is not None
+        assert replacement2._packed is not None
 
     def test_bumps_version(self):
         session = Session(small_dataset())

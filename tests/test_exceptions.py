@@ -8,10 +8,10 @@ import pytest
 from repro.exceptions import (
     DimensionalityError,
     EmptyDatasetError,
-    IndexError_,
     InvalidProbabilityError,
     NotANonAnswerError,
     ReproError,
+    UnknownObjectError,
 )
 
 
@@ -21,7 +21,7 @@ class TestHierarchy:
         [
             DimensionalityError(2, 3),
             EmptyDatasetError("empty"),
-            IndexError_("corrupt"),
+            UnknownObjectError("gone"),
             InvalidProbabilityError("bad"),
             NotANonAnswerError("answer"),
         ],

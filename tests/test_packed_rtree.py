@@ -1,15 +1,13 @@
-"""Packed R-tree snapshot: traversal parity, accounting, and the handoff.
+"""The dataset R-tree: STR layout, traversal parity, accounting, churn.
 
-The engine's kernel switch may route any filter-phase traversal through
-either the pointer :class:`~repro.index.rtree.RTree` or the packed
-:class:`~repro.index.packed.PackedRTree` snapshot, so the two must be
-indistinguishable: identical hit sets (identical *lists* for the
-canonically ordered ``range_search_any`` family) and identical
-``AccessStats`` counts — i.e. the packed level frontier visits exactly as
-many nodes per query as the pointer traversal, across random trees,
-windows, and update interleavings.  Hypothesis drives the parity suite
-with a tiny fanout so multi-level frontiers are the norm, not the
-exception.
+:meth:`~repro.index.packed.PackedRTree.build` packs box arrays with a
+vectorized STR; :mod:`tests.reference.rtree` packs the same boxes with
+the classic recursive loop into pointer nodes.  The two must agree on
+every array bit (node MBRs, child and entry ranges, entry order), and
+every query must agree with the reference's node-by-node traversal on
+hits *and* ``AccessStats`` counts — the paper's node-access metric.
+Hypothesis drives both with page size 160 (fanout 4 at d=2) so
+multi-level trees are the norm, not the exception.
 """
 
 from __future__ import annotations
@@ -22,173 +20,180 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.reporting import write_json_report
-from repro.engine.executor import _dataset_payload, _restore_dataset
+from repro.engine.executor import ParallelExecutor
 from repro.engine.session import Session
-from repro.engine.spec import PRSQSpec
 from repro.geometry.rectangle import Rect
-from repro.index.bulk import bulk_load
-from repro.index.packed import PackedRTree
-from repro.index.rtree import RTree
+from repro.index.packed import PackedRTree, fanout_for_page, pack_window_groups
 from repro.index.stats import AccessStats
+from repro.uncertain.dataset import UncertainDataset
 from repro.uncertain.delta import DatasetDelta
 from repro.uncertain.object import UncertainObject
 
 from tests.conftest import make_uncertain_dataset
+from tests.reference import rtree as reference_rtree
 
 # 2 corners * 2 dims * 8 bytes + 8-byte pointer = 40 bytes/entry -> fanout 4
 TINY_PAGE = 160
 
 
-def _rect(rng, extent=10.0):
+def _boxes(rng, n, dims=2, extent=10.0):
+    """Random boxes; a third are points, some coordinates on a coarse grid."""
+    lo = rng.uniform(0.0, 100.0, size=(n, dims))
+    lo[: n // 4] = np.round(lo[: n // 4] / 25.0) * 25.0  # tied centers
+    size = rng.uniform(0.0, extent, size=(n, dims))
+    size[rng.random(n) < 1 / 3] = 0.0
+    return lo, lo + size
+
+
+def _reference(lo, hi, page_size=TINY_PAGE):
+    items = [(Rect(lo[i], hi[i]), i) for i in range(lo.shape[0])]
+    return reference_rtree.bulk_load(items, lo.shape[1], page_size=page_size)
+
+
+def _rect(rng, extent=40.0):
     lo = rng.uniform(0.0, 100.0, size=2)
     return Rect(lo, lo + rng.uniform(0.0, extent, size=2))
 
 
 def _windows(rng, count):
-    return [_rect(rng, extent=40.0) for _ in range(count)]
+    return [_rect(rng) for _ in range(count)]
 
 
-def _measured(index, call):
-    stats = index.stats
-    with stats.measure() as snapshot:
-        result = call(index)
-    return result, (
-        snapshot.node_accesses,
-        snapshot.leaf_accesses,
-        snapshot.queries,
-    )
+def _counts(snapshot):
+    return (snapshot.node_accesses, snapshot.leaf_accesses, snapshot.queries)
 
 
-def assert_query_parity(tree: RTree, packed: PackedRTree, rng) -> None:
-    """Every kernel agrees with its pointer reference, hits and counts."""
-    window = _rect(rng, extent=40.0)
-    p_hits, p_stats = _measured(tree, lambda t: t.range_search(window))
-    k_hits, k_stats = _measured(packed, lambda p: p.range_search(window))
-    assert sorted(p_hits, key=repr) == sorted(k_hits, key=repr)
-    assert p_stats == k_stats
-
-    for count in (0, 1, 4):
-        windows = _windows(rng, count)
-        p_hits, p_stats = _measured(tree, lambda t: t.range_search_any(windows))
-        k_hits, k_stats = _measured(
-            packed, lambda p: p.range_search_any(windows)
-        )
-        assert p_hits == k_hits  # canonical order is part of the contract
-        assert p_stats == k_stats
+def assert_query_parity(packed, tree, rng) -> None:
+    """Every kernel agrees with the reference traversal, hits and counts."""
+    window = _rect(rng)
+    with packed.stats.measure() as got:
+        hits = packed.range_search(window)
+    with tree.stats.measure() as want:
+        expected = reference_rtree.range_search(tree, window)
+    assert sorted(hits.tolist()) == expected
+    assert _counts(got) == _counts(want)
 
     windows = _windows(rng, 5)
-    p_res, p_stats = _measured(tree, lambda t: t.range_search_many(windows))
-    k_res, k_stats = _measured(packed, lambda p: p.range_search_many(windows))
-    assert [sorted(x, key=repr) for x in p_res] == [
-        sorted(x, key=repr) for x in k_res
-    ]
-    assert p_stats == k_stats
+    with packed.stats.measure() as got:
+        per_window = packed.range_search_many(windows)
+    with tree.stats.measure() as want:
+        expected = reference_rtree.range_search_many(tree, windows)
+    assert [sorted(part.tolist()) for part in per_window] == expected
+    assert _counts(got) == _counts(want)
 
-    # Empty groups interleaved AND trailing: a trailing empty group once
-    # truncated the final non-empty group's reduceat segment (regression).
+    # Empty groups interleaved AND trailing, and groups of 0..6 windows.
     groups = [_windows(rng, 3), [], _windows(rng, 1), _windows(rng, 6), []]
-    p_res, p_stats = _measured(
-        tree, lambda t: [t.range_search_any(group) for group in groups]
+    lo, hi = pack_window_groups(groups, 2)
+    with packed.stats.measure() as got:
+        hit_groups, rows = packed.group_hits(lo, hi)
+    with tree.stats.measure() as want:
+        expected = [
+            reference_rtree.range_search_any(tree, group) for group in groups
+        ]
+    assert [
+        sorted(rows[hit_groups == g].tolist()) for g in range(len(groups))
+    ] == expected
+    # sorted by group, then by entry
+    order = np.lexsort((np.argsort(packed.rows)[rows], hit_groups))
+    assert np.array_equal(order, np.arange(rows.size))
+    assert _counts(got) == _counts(want)
+
+
+class TestBuild:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        n=st.integers(min_value=0, max_value=200),
+        dims=st.integers(min_value=1, max_value=3),
     )
-    k_res, k_stats = _measured(
-        packed, lambda p: p.range_search_any_grouped(groups)
-    )
-    assert p_res == k_res
-    assert p_stats == k_stats
+    def test_arrays_equal_the_reference_str_tree(self, seed, n, dims):
+        lo, hi = _boxes(np.random.default_rng(seed), n, dims)
+        built = PackedRTree.build(lo, hi, page_size=TINY_PAGE)
+        frozen = reference_rtree.freeze(_reference(lo, hi))
+        assert reference_rtree.same_layout(
+            reference_rtree.layout(built), frozen
+        )
+        assert len(built) == n and built.dims == dims
+
+    def test_default_page_builds_the_reference_tree(self, rng):
+        lo, hi = _boxes(rng, 3000)
+        built = PackedRTree.build(lo, hi)
+        assert built.height == 2  # fanout 102: 30 leaves under one root
+        frozen = reference_rtree.freeze(_reference(lo, hi, page_size=4096))
+        assert reference_rtree.same_layout(
+            reference_rtree.layout(built), frozen
+        )
+
+    def test_index_is_immutable(self, rng):
+        packed = PackedRTree.build(*_boxes(rng, 30), page_size=TINY_PAGE)
+        for name in ("node_lo", "entry_lo", "rows", "child_start"):
+            with pytest.raises(ValueError):
+                getattr(packed, name)[0] = 1
+
+    def test_empty_index_answers_nothing(self):
+        empty = np.empty((0, 2))
+        packed = PackedRTree.build(empty, empty, page_size=TINY_PAGE)
+        assert packed.height == 1 and packed.node_count == 1
+        with packed.stats.measure() as snapshot:
+            hits = packed.range_search(Rect([0.0, 0.0], [1e9, 1e9]))
+        assert hits.size == 0
+        assert _counts(snapshot) == (1, 1, 1)  # the root leaf is read
+
+
+class TestFanout:
+    def test_page_size_determines_capacity(self):
+        assert fanout_for_page(4096, 2) == 4096 // (2 * 2 * 8 + 8)
+
+    def test_minimum_capacity(self):
+        assert fanout_for_page(64, 10) == 4
 
 
 class TestTraversalParity:
     @settings(max_examples=25, deadline=None)
     @given(
         seed=st.integers(min_value=0, max_value=2**16),
-        n=st.integers(min_value=0, max_value=60),
-        bulk=st.booleans(),
+        n=st.integers(min_value=0, max_value=120),
     )
-    def test_parity_on_random_trees(self, seed, n, bulk):
+    def test_parity_on_random_trees(self, seed, n):
         rng = np.random.default_rng(seed)
-        items = [(_rect(rng), i) for i in range(n)]
-        if bulk:
-            tree = bulk_load(items, dims=2, page_size=TINY_PAGE)
-        else:
-            tree = RTree(dims=2, page_size=TINY_PAGE)
-            for rect, payload in items:
-                tree.insert(rect, payload)
-        packed = tree.freeze(stats=AccessStats())
-        assert len(packed) == len(tree)
-        assert_query_parity(tree, packed, rng)
+        lo, hi = _boxes(rng, n)
+        packed = PackedRTree.build(lo, hi, page_size=TINY_PAGE)
+        assert_query_parity(packed, _reference(lo, hi), rng)
 
-    @settings(max_examples=15, deadline=None)
-    @given(
-        seed=st.integers(min_value=0, max_value=2**16),
-        op_kinds=st.lists(
-            st.sampled_from(["insert", "delete", "insert"]), max_size=20
-        ),
+    def test_stats_are_shared_or_private(self, rng):
+        lo, hi = _boxes(rng, 40)
+        shared = AccessStats()
+        packed = PackedRTree.build(lo, hi, TINY_PAGE, stats=shared)
+        assert packed.stats is shared
+        view = packed.with_stats()
+        view.range_search(Rect([0.0, 0.0], [100.0, 100.0]))
+        assert shared.node_accesses == 0 and view.stats.node_accesses > 0
+        assert view.rows is packed.rows  # arrays shared, not copied
+
+
+def _churn_ops():
+    return st.lists(
+        st.sampled_from(["insert", "delete", "update", "insert"]), max_size=25
     )
-    def test_parity_across_update_interleavings(self, seed, op_kinds):
-        """Re-freezing after every churn step keeps counts identical."""
-        rng = np.random.default_rng(seed)
-        live = [(_rect(rng), i) for i in range(12)]
-        tree = bulk_load(list(live), dims=2, page_size=TINY_PAGE)
-        next_payload = len(live)
-        for kind in op_kinds:
-            if kind == "insert" or not live:
-                entry = (_rect(rng), next_payload)
-                next_payload += 1
-                tree.insert(*entry)
-                live.append(entry)
-            else:
-                victim = live.pop(int(rng.integers(len(live))))
-                assert tree.delete(*victim)
-            packed = tree.freeze(stats=AccessStats())
-            assert_query_parity(tree, packed, rng)
-
-    def test_snapshot_is_immutable_and_picklable(self, rng):
-        import pickle
-
-        tree = bulk_load(
-            [(_rect(rng), i) for i in range(30)], dims=2, page_size=TINY_PAGE
-        )
-        packed = tree.freeze()
-        with pytest.raises(ValueError):
-            packed.node_lo[0, 0] = 1.0
-        clone = pickle.loads(pickle.dumps(packed))
-        assert clone.stats is not packed.stats  # counters never shipped
-        # the worker's copy keeps the read-only contract: unpickling
-        # must re-freeze what pickle restores writable
-        with pytest.raises(ValueError):
-            clone.node_lo[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            clone.entry_lo[0, 0] = 1.0
-        window = _rect(rng, extent=40.0)
-        assert clone.range_search(window) == packed.range_search(window)
-
-    def test_freeze_shares_the_tree_stats_by_default(self, rng):
-        tree = bulk_load(
-            [(_rect(rng), i) for i in range(10)], dims=2, page_size=TINY_PAGE
-        )
-        packed = tree.freeze()
-        before = tree.stats.node_accesses
-        packed.range_search(_rect(rng))
-        assert tree.stats.node_accesses > before
 
 
-class TestCanonicalRangeSearchAny:
-    def test_unique_repr_sorted_payloads(self, rng):
-        tree = RTree(dims=2, page_size=TINY_PAGE)
-        rects = [_rect(rng) for _ in range(25)]
-        for rect in rects:
-            tree.insert(rect, f"p{rects.index(rect)}")
-        everything = [Rect([0.0, 0.0], [200.0, 200.0])] * 3
-        got = tree.range_search_any(everything)
-        assert got == sorted(set(got), key=repr)
-        assert len(got) == 25
+def _fresh(dataset):
+    return UncertainDataset(dataset.objects(), page_size=dataset.page_size)
+
+
+def _object(oid, rng):
+    rows = int(rng.integers(1, 4))
+    return UncertainObject(oid, rng.uniform(0.0, 100.0, size=(rows, 2)))
 
 
 class TestDatasetIntegration:
     def test_spatial_index_selection_and_shared_stats(self, rng):
         dataset = make_uncertain_dataset(rng, n=40)
-        assert dataset.rtree.stats is dataset.access_stats
         assert dataset.packed.stats is dataset.access_stats
+        lo, hi, _sums_to_one = dataset.tensor.boxes()
+        rows = dataset.packed.rows
+        assert np.array_equal(dataset.packed.entry_lo, lo[rows])
+        assert np.array_equal(dataset.packed.entry_hi, hi[rows])
 
     def test_delta_invalidates_and_refreezes(self, rng):
         dataset = make_uncertain_dataset(rng, n=25)
@@ -200,102 +205,77 @@ class TestDatasetIntegration:
         )
         assert dataset._packed is None
         second = dataset.packed
-        assert second is not first
-        assert len(second) == len(dataset)
-        window = Rect([0.0, 0.0], [10.0, 10.0])
-        assert sorted(second.range_search(window), key=repr) == sorted(
-            dataset.rtree.range_search(window), key=repr
+        assert second is not first and len(second) == len(dataset)
+        assert reference_rtree.same_layout(
+            reference_rtree.layout(second),
+            reference_rtree.layout(_fresh(dataset).packed),
         )
+        hits = second.range_search(Rect([4.0, 4.0], [6.0, 6.0]))
+        assert dataset.index_of("fresh") in hits.tolist()
 
-    def test_adopt_packed_rejects_mismatched_snapshot(self, rng):
-        dataset = make_uncertain_dataset(rng, n=10)
-        other = make_uncertain_dataset(rng, n=7)
-        with pytest.raises(ValueError, match="does not match"):
-            dataset.adopt_packed(other.rtree.freeze())
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**16),
+        n_initial=st.integers(min_value=1, max_value=25),
+        op_kinds=_churn_ops(),
+    )
+    def test_churn_index_equals_fresh_build(self, seed, n_initial, op_kinds):
+        """Any insert/update/delete interleaving through ``apply_delta``.
+
+        After every step the index equals a fresh dataset's over the same
+        objects, array for array, and a range query equals brute force
+        over the object MBRs.
+        """
+        rng = np.random.default_rng(seed)
+        dataset = UncertainDataset(
+            [_object(f"o{i}", rng) for i in range(n_initial)],
+            page_size=TINY_PAGE,
+        )
+        dataset.packed
+        for step, kind in enumerate(op_kinds):
+            ids = dataset.ids()
+            victim = ids[int(rng.integers(len(ids)))]
+            if kind == "insert":
+                delta = DatasetDelta.insertion(_object(f"n{step}", rng))
+            elif kind == "update":
+                delta = DatasetDelta.replacement(_object(victim, rng))
+            elif len(ids) > 1:
+                delta = DatasetDelta.deletion(victim)
+            else:
+                continue
+            dataset.apply_delta(delta)
+            assert reference_rtree.same_layout(
+                reference_rtree.layout(dataset.packed),
+                reference_rtree.layout(_fresh(dataset).packed),
+            )
+            window = _rect(rng)
+            expected = [
+                row for row, obj in enumerate(dataset)
+                if window.intersects(obj.mbr)
+            ]
+            got = dataset.packed.range_search(window)
+            assert sorted(got.tolist()) == expected
 
 
 class TestWorkerHandoff:
-    def test_payload_ships_packed_and_restore_skips_rebuild(self, rng):
-        import pickle
-
-        dataset = make_uncertain_dataset(rng, n=30)
-        dataset.packed  # freeze parent-side
-        payload = pickle.loads(pickle.dumps(_dataset_payload(dataset)))
-        restored = _restore_dataset(payload)
-        assert restored._packed is not None
-        assert restored._rtree is None  # zero-rebuild: arrays adopted as-is
-        assert restored._packed.stats is restored.access_stats
-        window = Rect([0.0, 0.0], [6.0, 6.0])
-        assert restored._packed.range_search_any([window]) == (
-            dataset.packed.range_search_any([window])
-        )
-
-    def test_lazy_parent_ships_no_snapshot(self, rng):
-        dataset = make_uncertain_dataset(rng, n=12)
-        assert _dataset_payload(dataset)["packed"] is None
-
     def test_initargs_inherit_session_switches(self, rng):
-        from repro.engine.executor import ParallelExecutor
-
         dataset = make_uncertain_dataset(rng, n=15)
         lazy = Session(dataset, build_index=False)
-        assert dataset._rtree is None and dataset._packed is None
+        assert dataset._packed is None
         payload, _pdf, kwargs, traced, plan = ParallelExecutor(
             workers=2
         )._initargs(lazy)
         assert kwargs["build_index"] is False
         assert traced is False
         assert plan is None  # no fault plan installed
-        assert payload["packed"] is None  # laziness inherited end to end
-        assert dataset._rtree is None  # _initargs itself stayed lazy
+        assert dataset._packed is None  # _initargs itself stayed lazy
 
         eager = Session(make_uncertain_dataset(rng, n=15))
         payload, _pdf, kwargs, _traced, _plan = ParallelExecutor(
             workers=2
         )._initargs(eager)
         assert kwargs == {"build_index": True, "cache_size": 4096}
-        assert payload["packed"] is not None
-
-    def test_numpy_session_on_adopted_snapshot_never_builds_pointer(self, rng):
-        dataset = make_uncertain_dataset(rng, n=20)
-        parent = Session(dataset)
-        restored = _restore_dataset(_dataset_payload(dataset))
-        worker = Session(restored, build_index=True)
-        spec = PRSQSpec(q=(5.0, 5.0), alpha=0.5, want="probabilities")
-        theirs = worker.query(spec).value.probabilities
-        ours = parent.query(spec).value.probabilities
-        assert {k: v.hex() for k, v in theirs.items()} == {
-            k: v.hex() for k, v in ours.items()
-        }
-        assert restored._rtree is None  # the whole query ran off the arrays
-
-
-class TestInsertManyBulkLoad:
-    def test_empty_tree_takes_the_str_path(self, rng):
-        items = [(_rect(rng), i) for i in range(200)]
-        tree = RTree(dims=2, page_size=TINY_PAGE)
-        tree.insert_many(items)
-        tree.validate(allow_underfull=True)
-        assert len(tree) == 200
-        reference = bulk_load(items, dims=2, page_size=TINY_PAGE)
-        # STR is deterministic: same packing as the bulk_load entry point.
-        assert tree.height() == reference.height()
-        window = _rect(rng, extent=40.0)
-        assert sorted(tree.range_search(window)) == sorted(
-            reference.range_search(window)
-        )
-
-    def test_non_empty_tree_keeps_incremental_path(self, rng):
-        tree = RTree(dims=2, page_size=TINY_PAGE)
-        tree.insert(_rect(rng), "seed")
-        tree.insert_many([(_rect(rng), i) for i in range(50)])
-        tree.validate()  # insertion-built trees satisfy strict min-fill
-        assert len(tree) == 51
-
-    def test_empty_batch_is_a_no_op(self):
-        tree = RTree(dims=2, page_size=TINY_PAGE)
-        tree.insert_many([])
-        assert len(tree) == 0
+        assert "packed" not in payload  # workers build their own index
 
 
 class TestJsonReport:

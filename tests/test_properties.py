@@ -13,7 +13,7 @@ from repro.geometry.dominance import (
     dynamically_dominates,
 )
 from repro.geometry.rectangle import Rect
-from repro.index.bulk import bulk_load
+from repro.index.packed import PackedRTree, fanout_for_page
 from repro.prsq.oracle import MembershipOracle
 from repro.prsq.probability import reverse_skyline_probability
 from repro.skyline.classic import skyline_indices
@@ -95,6 +95,12 @@ class TestSkylineProperties:
             assert any(dominates(points[j], points[i]) for j in range(len(points)))
 
 
+def _point_index(points):
+    """The index over degenerate point boxes at fanout 4 (page 160, d=2)."""
+    matrix = np.array(points, dtype=float).reshape(-1, 2)
+    return PackedRTree.build(matrix, matrix, page_size=160)
+
+
 class TestRTreeProperties:
     @SLOW
     @given(
@@ -104,21 +110,56 @@ class TestRTreeProperties:
     def test_range_query_equals_linear_scan(self, points, window_corners):
         (x1, y1), (x2, y2) = window_corners
         window = Rect([min(x1, x2), min(y1, y2)], [max(x1, x2), max(y1, y2)])
-        tree = bulk_load(
-            [(np.array(p), i) for i, p in enumerate(points)], dims=2, max_entries=4
-        )
+        tree = _point_index(points)
         expected = sorted(
             i for i, p in enumerate(points) if window.contains_point(np.array(p))
         )
-        assert sorted(tree.range_search(window)) == expected
+        assert sorted(tree.range_search(window).tolist()) == expected
 
     @SLOW
     @given(st.lists(point2d, min_size=1, max_size=60))
     def test_bulk_load_valid_structure(self, points):
-        tree = bulk_load(
-            [(np.array(p), i) for i, p in enumerate(points)], dims=2, max_entries=4
+        tree = _point_index(points)
+        n, capacity = len(points), fanout_for_page(160, 2)
+        assert capacity == 4
+        # every input row is one leaf entry
+        assert sorted(tree.rows.tolist()) == list(range(n))
+        # children tile nodes 1.. in BFS order, leaf entries tile 0..n-1,
+        # and every page holds 1..capacity children or entries
+        internal = np.arange(tree.leaf_start)
+        leaves = np.arange(tree.leaf_start, tree.node_count)
+        assert tree.child_start[internal].tolist() == (
+            1 + np.cumsum(tree.child_count[internal])
+            - tree.child_count[internal]
+        ).tolist()
+        assert int(tree.child_count[internal].sum()) == tree.node_count - 1
+        assert tree.entry_start[leaves].tolist() == (
+            np.cumsum(tree.entry_count[leaves]) - tree.entry_count[leaves]
+        ).tolist()
+        assert int(tree.entry_count[leaves].sum()) == n
+        fill = np.where(
+            np.arange(tree.node_count) < tree.leaf_start,
+            tree.child_count, tree.entry_count,
         )
-        tree.validate(allow_underfull=True)
+        assert ((fill >= 1) & (fill <= capacity)).all()
+        # leaves are one level: every child of the last internal level is
+        # a leaf, and no leaf has children
+        assert (tree.child_count[leaves] == 0).all()
+        # each node's MBR covers its children's and its entries' boxes
+        for node in internal.tolist():
+            kids = slice(
+                tree.child_start[node],
+                tree.child_start[node] + tree.child_count[node],
+            )
+            assert (tree.node_lo[node] <= tree.node_lo[kids]).all()
+            assert (tree.node_hi[kids] <= tree.node_hi[node]).all()
+        for leaf in leaves.tolist():
+            entries = slice(
+                tree.entry_start[leaf],
+                tree.entry_start[leaf] + tree.entry_count[leaf],
+            )
+            assert (tree.node_lo[leaf] <= tree.entry_lo[entries]).all()
+            assert (tree.entry_hi[entries] <= tree.node_hi[leaf]).all()
 
 
 class TestProbabilityProperties:

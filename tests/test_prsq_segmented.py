@@ -4,7 +4,8 @@ Every object's Lemma-2 relevance set comes out of one grouped traversal as
 CSR ``(offsets, positions)``, and Eq. (3)/(2) for every center runs as one
 segmented kernel over it.  Both must equal the per-object reference to the
 last bit: the same ascending positions and node accesses as one
-``range_search_any`` per object, and the same probability bits as one
+reference-tree ``range_search_any`` per object, and the same probability
+bits as one
 ``reverse_skyline_probability`` per object — with tiny chunk budgets
 forcing many blocks, and with segments long enough for any reordering
 reduction to show.
@@ -42,6 +43,7 @@ from repro.uncertain.object import UncertainObject
 
 from tests import reference
 from tests.conftest import make_uncertain_dataset
+from tests.reference import rtree as reference_rtree
 
 SLOW = settings(
     max_examples=25,
@@ -119,12 +121,10 @@ class TestRelevanceSets:
         centers = np.arange(len(dataset))
         offsets, positions = dataset.relevance_sets(lo, hi, exclude=centers)
         assert offsets.shape == (len(dataset) + 1,) and offsets[0] == 0
+        tree = reference_rtree.dataset_tree(dataset)
         for center, windows in enumerate(_windows_per_object(dataset, q)):
-            hits = [
-                dataset.index_of(o)
-                for o in dataset.packed.range_search_any(windows)
-            ]
-            expected = sorted(p for p in hits if p != center)
+            hits = reference_rtree.range_search_any(tree, windows)
+            expected = [p for p in hits if p != center]
             got = positions[offsets[center]:offsets[center + 1]].tolist()
             assert got == expected
 
@@ -141,9 +141,10 @@ class TestRelevanceSets:
         monkeypatch.setattr(packed_module, "GROUP_WINDOW_CHUNK", 8)
         with dataset.access_stats.measure() as batched:
             dataset.relevance_sets(lo, hi)
-        with dataset.access_stats.measure() as looped:
+        tree = reference_rtree.dataset_tree(dataset)
+        with tree.stats.measure() as looped:
             for windows in _windows_per_object(dataset, q):
-                dataset.packed.range_search_any(windows)
+                reference_rtree.range_search_any(tree, windows)
         assert batched.node_accesses == looped.node_accesses
         assert batched.leaf_accesses == looped.leaf_accesses
         assert batched.queries == looped.queries
@@ -168,10 +169,9 @@ class TestRelevanceSets:
         windows = _windows_per_object(dataset, [5.0, 5.0])[4]
         exclude = 4 if exclude_center else None
         got = dataset.window_positions(windows, exclude=exclude)
-        hits = dataset.rtree.range_search_any(windows)
-        assert got.tolist() == sorted(
-            dataset.index_of(oid) for oid in hits if oid != exclude
-        )
+        tree = reference_rtree.dataset_tree(dataset)
+        hits = reference_rtree.range_search_any(tree, windows)
+        assert got.tolist() == [row for row in hits if row != exclude]
         # Each window is centred on one of object 4's samples, so object 4
         # always crosses them: only ``exclude`` keeps it out.
         assert (4 in got.tolist()) is not exclude_center

@@ -99,12 +99,10 @@ class TestUncertainDataset:
         assert not removed & set(reduced.ids())
 
     def test_rtree_lazily_built_and_complete(self, tiny_uncertain):
-        assert tiny_uncertain._rtree is None
-        tree = tiny_uncertain.rtree
-        assert sorted(map(repr, tree.all_payloads())) == sorted(
-            map(repr, tiny_uncertain.ids())
-        )
-        assert tiny_uncertain.rtree is tree  # cached
+        assert tiny_uncertain._packed is None
+        tree = tiny_uncertain.packed
+        assert sorted(tree.rows.tolist()) == list(range(len(tiny_uncertain)))
+        assert tiny_uncertain.packed is tree  # cached
 
     def test_max_samples(self):
         ds = UncertainDataset(

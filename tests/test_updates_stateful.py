@@ -11,6 +11,11 @@ Queries are interleaved *during* the churn on purpose: they populate the
 result cache under old fingerprints, so any unsound cache keying or
 partially patched derived structure (R-tree, tensor, ``points``) shows up
 as a bit difference at the end.
+
+The datasets use 160-byte pages (fanout 4), so their R-trees have several
+levels, and causality answers must match in ``stats.node_accesses`` too:
+the index is rebuilt from the contents after every write, so the paper's
+I/O count cannot depend on the order in which those contents arrived.
 """
 
 import numpy as np
@@ -35,6 +40,7 @@ from tests import reference
 
 Q = (5.0, 5.0)
 ALPHA = 0.5
+PAGE = 160  # fanout 4 at d=2: multi-level trees
 
 OPS = st.lists(
     st.sampled_from(["insert", "delete", "update", "query"]),
@@ -103,7 +109,7 @@ def test_uncertain_session_parity_after_churn(
 ):
     rng = np.random.default_rng(seed)
     dataset = UncertainDataset(
-        [_uncertain_object(f"o{i}", rng) for i in range(6)]
+        [_uncertain_object(f"o{i}", rng) for i in range(6)], page_size=PAGE
     )
     session = Session(dataset, build_index=build_index)
     _churn(session, op_kinds, rng, _uncertain_object)
@@ -133,10 +139,14 @@ def test_uncertain_session_parity_after_churn(
     if non_answers:
         an = non_answers[0]
         causality_spec = CausalitySpec(an=an, q=Q, alpha=ALPHA)
-        assert (
-            session.query(causality_spec).value.causes
-            == fresh.query(causality_spec).value.causes
-        )
+        assert_same_causality(session, fresh, causality_spec)
+
+
+def assert_same_causality(session, fresh, spec):
+    """Equal causes and equal node accesses on both sessions."""
+    live, ref = session.query(spec).value, fresh.query(spec).value
+    assert live.causes == ref.causes
+    assert live.stats.node_accesses == ref.stats.node_accesses
 
 
 def _certain_object(oid, rng):
@@ -154,7 +164,9 @@ def test_certain_session_parity_after_churn(
 ):
     rng = np.random.default_rng(seed)
     dataset = CertainDataset(
-        rng.uniform(0.0, 10.0, size=(8, 2)), ids=[f"c{i}" for i in range(8)]
+        rng.uniform(0.0, 10.0, size=(8, 2)),
+        ids=[f"c{i}" for i in range(8)],
+        page_size=PAGE,
     )
     session = Session(dataset, build_index=build_index)
 
@@ -179,12 +191,7 @@ def test_certain_session_parity_after_churn(
         else:
             query(session)
 
-    rebuilt = CertainDataset(
-        session.dataset.points.copy(),
-        ids=session.dataset.ids(),
-        names=[o.name for o in session.dataset],
-        page_size=session.dataset.page_size,
-    )
+    rebuilt = _rebuild_certain(session.dataset)
     fresh = Session(rebuilt, build_index=build_index)
     assert session.fingerprint == fresh.fingerprint
 
@@ -203,16 +210,48 @@ def test_certain_session_parity_after_churn(
     non_answers = [oid for oid in session.dataset.ids() if oid not in skyline]
     if non_answers:
         an = non_answers[0]
-        cr_spec = CausalityCertainSpec(an=an, q=Q)
-        assert (
-            session.query(cr_spec).value.causes
-            == fresh.query(cr_spec).value.causes
+        assert_same_causality(session, fresh, CausalityCertainSpec(an=an, q=Q))
+        assert_same_causality(
+            session, fresh, KSkybandCausalitySpec(an=an, q=Q, k=1)
         )
-        band_causality = KSkybandCausalitySpec(an=an, q=Q, k=1)
-        assert (
-            session.query(band_causality).value.causes
-            == fresh.query(band_causality).value.causes
+
+
+def _rebuild_certain(dataset):
+    return CertainDataset(
+        dataset.points.copy(),
+        ids=dataset.ids(),
+        names=[o.name for o in dataset],
+        page_size=dataset.page_size,
+    )
+
+
+def test_certain_node_accesses_after_writes_match_a_fresh_session():
+    """40 points, 160-byte pages, 8 insert+delete pairs on a live session.
+
+    Every CR non-answer reads as many nodes as on a fresh session over the
+    same contents.  An index patched write by write instead of rebuilt
+    keeps a structure that depends on the write order, and reads other
+    node counts here.
+    """
+    rng = np.random.default_rng(0)
+    session = Session(
+        CertainDataset(
+            rng.uniform(0.0, 10.0, size=(40, 2)),
+            ids=[f"c{i}" for i in range(40)],
+            page_size=PAGE,
         )
+    )
+    for step in range(8):
+        session.apply(DatasetDelta.insertion(_certain_object(f"n{step}", rng)))
+        ids = session.dataset.ids()
+        session.apply(DatasetDelta.deletion(ids[int(rng.integers(len(ids)))]))
+    fresh = Session(_rebuild_certain(session.dataset))
+
+    skyline = set(session.query(ReverseSkylineSpec(q=Q)).value.ids)
+    non_answers = [oid for oid in session.dataset.ids() if oid not in skyline]
+    assert len(non_answers) > 30
+    for an in non_answers:
+        assert_same_causality(session, fresh, CausalityCertainSpec(an=an, q=Q))
 
 
 @settings(max_examples=10, deadline=None)
